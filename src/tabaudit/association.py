@@ -26,7 +26,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Literal, Sequence
 
-from .tables import StratifiedTable, Table2x2
+from .tables import StratifiedTable, Table2x2, collapse
 
 
 @dataclass(frozen=True)
@@ -165,20 +165,19 @@ def _rate(incidents: int, shifts: int) -> Fraction | None:
     return None if shifts == 0 else Fraction(incidents, shifts)
 
 
+def _group_rates(dataset: str, stratum: str, t: Table2x2) -> tuple[RateEntry, RateEntry]:
+    group1, group2 = t.row_labels
+    return (RateEntry(dataset, stratum, group1, t.a, t.row1, _rate(t.a, t.row1)),
+            RateEntry(dataset, stratum, group2, t.c, t.row2, _rate(t.c, t.row2)))
+
+
 def rate_table(datasets: Sequence[StratifiedTable]) -> RateTable:
     entries: list[RateEntry] = []
     pooled: list[RateEntry] = []
     for ds in datasets:
-        group1, group2 = ds.row_labels
         for label, t in ds.strata:
-            entries.append(RateEntry(ds.name, label, group1, t.a, t.row1, _rate(t.a, t.row1)))
-            entries.append(RateEntry(ds.name, label, group2, t.c, t.row2, _rate(t.c, t.row2)))
-        a = sum(t.a for t in ds.tables)
-        r1 = sum(t.row1 for t in ds.tables)
-        c = sum(t.c for t in ds.tables)
-        r2 = sum(t.row2 for t in ds.tables)
-        pooled.append(RateEntry(ds.name, "All", group1, a, r1, _rate(a, r1)))
-        pooled.append(RateEntry(ds.name, "All", group2, c, r2, _rate(c, r2)))
+            entries.extend(_group_rates(ds.name, label, t))
+        pooled.extend(_group_rates(ds.name, "All", collapse(ds)))
     return RateTable(tuple(entries), tuple(pooled))
 
 

@@ -20,17 +20,22 @@ from pathlib import Path
 from . import datasets, pipeline, references, simulate
 from .association import determinant_figure, nominal_correlation, odds_ratio, rate_table
 from .confounding import collapse_comparison, simpson_check
-from .exact import BinomialParams, SupportError, binomial_upper_tail, hypergeom_upper_tail
-from .pipeline import binomial_json, correlation_json, fisher_json, odds_json, rate_entry_json
+from .exact import BinomialParams, binomial_upper_tail, hypergeom_upper_tail
 from .render import exact_json, float_json, sig6, text_table
 from .svgfig import render_determinant_svg
-from .tables import StratifiedTable, TableValidationError, collapse, diff
+from .tables import StratifiedTable, collapse, diff
 
 PROG = "tabaudit"
 
 
 class CliInputError(Exception):
     """Unusable invocation or input source (exit code 2)."""
+
+
+#: Errors in the invocation or its input source (exit code 2). Every other
+#: ValueError or KeyError, TableValidationError and SupportError among them, is
+#: an analysis or validation error (exit code 3).
+_INPUT_ERRORS = (CliInputError, datasets.DatasetFormatError, datasets.UnknownDatasetError)
 
 
 def _add_source_args(p: argparse.ArgumentParser) -> None:
@@ -66,6 +71,17 @@ def _select_table(ds: StratifiedTable, stratum: str | None):
             f"stratum {stratum!r} not in dataset (has: {', '.join(ds.labels)})") from None
 
 
+def _figure(table):
+    """Correlation, determinant figure, two-line caption and SVG of one table."""
+    corr = nominal_correlation(table)
+    fig = determinant_figure(table)
+    caption = (
+        f"correlation {sig6(corr.value)}",
+        f"area ratio {sig6(fig.area_ratio)} ({fig.parallelogram_area}/{fig.rect_area})",
+    )
+    return corr, fig, caption, render_determinant_svg(fig, caption)
+
+
 def _flatten(doc, prefix: str = "", rows: list | None = None) -> list[tuple[str, str]]:
     if rows is None:
         rows = []
@@ -80,8 +96,6 @@ def _flatten(doc, prefix: str = "", rows: list | None = None) -> list[tuple[str,
             text = ""
         elif isinstance(doc, bool):
             text = "true" if doc else "false"
-        elif isinstance(doc, float):
-            text = repr(doc)
         else:
             text = str(doc)
         rows.append((prefix, text))
@@ -117,19 +131,12 @@ def cmd_analyze(args) -> int:
 
     doc = {
         "dataset": ds.name,
-        "correlations": {
-            "strata": [{"stratum": lab, **correlation_json(r)} for lab, r in comp.stratum_values],
-            "pooled": correlation_json(comp.pooled),
-            "flattened_ratio": float_json(comp.flattened_ratio),
-        },
+        "correlations": pipeline.comparison_json(comp),
         "odds": {
-            "strata": [{"stratum": lab, **odds_json(o)} for lab, o in odds],
-            "pooled": odds_json(pooled_odds),
+            "strata": pipeline.per_stratum_json(odds, pipeline.odds_json),
+            "pooled": pipeline.odds_json(pooled_odds),
         },
-        "rates": {
-            "strata": [rate_entry_json(e) for e in rates.entries],
-            "pooled": [rate_entry_json(e) for e in rates.pooled],
-        },
+        "rates": pipeline.rates_json(rates),
     }
 
     rows = [[lab, sig6(r.value)] for lab, r in comp.stratum_values]
@@ -140,10 +147,7 @@ def cmd_analyze(args) -> int:
               "Nominal correlation\n" + text_table(["stratum", "value"], rows)]
     rows = [[lab, str(o)] for lab, o in odds] + [["pooled", str(pooled_odds)]]
     blocks.append("Odds ratios\n" + text_table(["stratum", "odds ratio"], rows))
-    rows = [
-        [e.stratum, e.group, sig6(e.rate) if e.rate is not None else "undefined"]
-        for e in (*rates.entries, *rates.pooled)
-    ]
+    rows = [row[1:] for row in pipeline.rate_rows(rates)]
     blocks.append("Incident rates per shift\n" + text_table(["stratum", "group", "rate"], rows))
     _emit(args, "\n\n".join(blocks), doc)
     return 0
@@ -153,7 +157,7 @@ def cmd_fisher(args) -> int:
     ds = _resolve_source(args)
     nurses = args.nurses if args.nurses is not None else datasets.n_nurses_for(ds.name)
     result = pipeline.fisher_pipeline(ds, nurses, args.mode)
-    doc = {"dataset": ds.name, **fisher_json(result)}
+    doc = {"dataset": ds.name, **pipeline.fisher_json(result)}
     rows = [[lab, sig6(tail)] for lab, tail in result.stratum_tails]
     text = (
         f"dataset: {ds.name or '(unnamed)'} (mode {result.mode}, nurses {result.n_nurses})\n"
@@ -170,13 +174,11 @@ def cmd_fisher(args) -> int:
 def cmd_binomial(args) -> int:
     ds = _resolve_source(args)
     table, label = _select_table(ds, args.stratum)
-    k_range = None
     if (args.k_min is None) != (args.k_max is None):
         raise CliInputError("--k-min and --k-max must be given together")
-    if args.k_min is not None:
-        k_range = (args.k_min, args.k_max)
+    k_range = None if args.k_min is None else (args.k_min, args.k_max)
     result = pipeline.binomial_analysis(table, k_range=k_range, tau=Fraction(str(args.tau)))
-    doc = {"dataset": ds.name, "table": label, **binomial_json(result)}
+    doc = {"dataset": ds.name, "table": label, **pipeline.binomial_json(result)}
     rows = [[f">= {row.threshold}", sig6(row.value)] for row in result.tails.rows]
     one_in = sig6(result.one_in_n) if result.one_in_n is not None else "infinite"
     text = (
@@ -194,21 +196,9 @@ def cmd_binomial(args) -> int:
 def cmd_simpson(args) -> int:
     ds = _resolve_source(args)
     verdict = simpson_check(ds)
-    doc = {
-        "dataset": ds.name,
-        "stratum_odds": [
-            {"stratum": lab, **odds_json(o)} for lab, o in verdict.stratum_odds
-        ],
-        "pooled_odds": odds_json(verdict.pooled_odds),
-        "directions": {lab: side for lab, side in verdict.directions},
-        "paradox": verdict.paradox,
-        "note": verdict.note,
-    }
-    rows = [
-        [lab, str(o), side]
-        for (lab, o), (_, side) in zip(verdict.stratum_odds, verdict.directions)
-    ]
-    rows.append(["pooled", str(verdict.pooled_odds), verdict.pooled_odds.versus_one()])
+    doc = {"dataset": ds.name, **pipeline.simpson_json(verdict)}
+    odds = (*verdict.stratum_odds, ("pooled", verdict.pooled_odds))
+    rows = [[lab, str(o), o.versus_one()] for lab, o in odds]
     text = (
         f"dataset: {ds.name or '(unnamed)'}\n"
         + text_table(["stratum", "odds ratio", "side"], rows)
@@ -220,9 +210,7 @@ def cmd_simpson(args) -> int:
 
 
 def cmd_replicate(args) -> int:
-    overrides = None
-    if args.nurses is not None:
-        overrides = {name: args.nurses for name in ("original", "derksen", "shops")}
+    overrides = None if args.nurses is None else dict.fromkeys(datasets.EMBEDDED, args.nurses)
     report = pipeline.replicate(n_nurses=overrides)
     doc = report.to_json_dict()
     failures = references.check_report_json(doc)
@@ -232,14 +220,7 @@ def cmd_replicate(args) -> int:
         fig_dir = Path(args.figures)
         fig_dir.mkdir(parents=True, exist_ok=True)
         for name in report.dataset_names:
-            table = collapse(datasets.get(name))
-            corr = nominal_correlation(table)
-            fig = determinant_figure(table)
-            svg = render_determinant_svg(fig, (
-                f"correlation {sig6(corr.value)}",
-                f"area ratio {sig6(fig.area_ratio)} "
-                f"({fig.parallelogram_area}/{fig.rect_area})",
-            ))
+            *_, svg = _figure(collapse(datasets.get(name)))
             (fig_dir / f"{name}.svg").write_text(svg)
 
     summary = ("all replication checks passed"
@@ -295,17 +276,11 @@ def cmd_simulate(args) -> int:
 def cmd_svg(args) -> int:
     ds = _resolve_source(args)
     table, label = _select_table(ds, args.stratum)
-    corr = nominal_correlation(table)
-    fig = determinant_figure(table)
-    caption = (
-        f"correlation {sig6(corr.value)}",
-        f"area ratio {sig6(fig.area_ratio)} ({fig.parallelogram_area}/{fig.rect_area})",
-    )
-    svg = render_determinant_svg(fig, caption)
+    corr, fig, caption, svg = _figure(table)
     doc = {
         "dataset": ds.name,
         "table": label,
-        "correlation": {"value": corr.value, "display": sig6(corr.value)},
+        "correlation": float_json(corr.value),
         "parallelogram_area": fig.parallelogram_area,
         "rect_area": fig.rect_area,
         "area_ratio": exact_json(fig.area_ratio),
@@ -424,17 +399,12 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (CliInputError, datasets.DatasetFormatError, datasets.UnknownDatasetError) as exc:
-        message = exc.args[0] if exc.args else str(exc)
-        print(f"error: {message}", file=sys.stderr)
-        return 2
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (TableValidationError, SupportError, ValueError, KeyError) as exc:
-        message = exc.args[0] if exc.args else str(exc)
-        print(f"error: {message}", file=sys.stderr)
-        return 3
+    except (CliInputError, ValueError, KeyError) as exc:
+        print(f"error: {exc.args[0] if exc.args else exc}", file=sys.stderr)
+        return 2 if isinstance(exc, _INPUT_ERRORS) else 3
 
 
 def run() -> None:

@@ -42,9 +42,7 @@ def simpson_check(s: StratifiedTable) -> SimpsonVerdict:
     directions = tuple((label, o.versus_one()) for label, o in stratum_odds)
 
     defined = [side for _, side in directions if side != "undefined"]
-    if not defined:
-        return SimpsonVerdict(stratum_odds, pooled, directions, False, "insufficient data")
-    if pooled.kind == "undefined":
+    if not defined or pooled.kind == "undefined":
         return SimpsonVerdict(stratum_odds, pooled, directions, False, "insufficient data")
 
     pooled_side = pooled.versus_one()

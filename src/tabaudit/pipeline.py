@@ -109,6 +109,9 @@ def binomial_analysis(
     k_range: tuple[int, int] | None = None,
     tau: Fraction | float = Fraction(1, 20),
 ) -> BinomialAnalysisResult:
+    tau = Fraction(tau)
+    if not 0 < tau <= 1:
+        raise ValueError(f"tau {tau} outside (0, 1]")
     if t.row2 == 0:
         raise ValueError("comparison group has zero shifts; cannot form a null rate")
     null_rate = Fraction(t.c, t.row2)
@@ -119,7 +122,6 @@ def binomial_analysis(
     params = BinomialParams(draws, null_rate)
     tails = tail_table(params, k_range[0], k_range[1])
     tail_obs = binomial_upper_tail(params, k_obs)
-    tau = Fraction(tau)
     k_star = next((row.threshold for row in tails.rows if row.exact < tau), None)
     return BinomialAnalysisResult(
         draws=draws,
@@ -221,7 +223,12 @@ def replicate(
 
 
 # ---------------------------------------------------------------------------
-# serialization
+# serialization: one JSON builder per result type, for report and CLI alike
+
+def per_stratum_json(pairs, to_json) -> list[dict]:
+    """``[{"stratum": label, **to_json(value)}, ...]`` for ``(label, value)`` pairs."""
+    return [{"stratum": label, **to_json(value)} for label, value in pairs]
+
 
 def correlation_json(r) -> dict:
     return {
@@ -233,6 +240,14 @@ def correlation_json(r) -> dict:
     }
 
 
+def comparison_json(comp: CollapseComparison) -> dict:
+    return {
+        "strata": per_stratum_json(comp.stratum_values, correlation_json),
+        "pooled": correlation_json(comp.pooled),
+        "flattened_ratio": float_json(comp.flattened_ratio),
+    }
+
+
 def odds_json(o) -> dict:
     out = {"kind": o.kind, "versus_one": o.versus_one()}
     if o.kind == "finite":
@@ -240,13 +255,21 @@ def odds_json(o) -> dict:
     return out
 
 
+def simpson_json(verdict: SimpsonVerdict) -> dict:
+    return {
+        "stratum_odds": per_stratum_json(verdict.stratum_odds, odds_json),
+        "pooled_odds": odds_json(verdict.pooled_odds),
+        "directions": dict(verdict.directions),
+        "paradox": verdict.paradox,
+        "note": verdict.note,
+    }
+
+
 def fisher_json(r: FisherPipelineResult) -> dict:
     return {
         "mode": r.mode,
         "n_nurses": r.n_nurses,
-        "stratum_tails": [
-            {"stratum": label, **exact_json(tail)} for label, tail in r.stratum_tails
-        ],
+        "stratum_tails": per_stratum_json(r.stratum_tails, exact_json),
         "product": exact_json(r.product),
         "corrected": exact_json(r.corrected),
         "one_in_n": exact_json(r.one_in_n),
@@ -254,15 +277,19 @@ def fisher_json(r: FisherPipelineResult) -> dict:
     }
 
 
-def rate_entry_json(e) -> dict:
-    return {
-        "dataset": e.dataset,
-        "stratum": e.stratum,
-        "group": e.group,
-        "incidents": e.incidents,
-        "shifts": e.shifts,
-        "rate": exact_json(e.rate),
-    }
+def rates_json(rates: RateTable) -> dict:
+    def entry(e) -> dict:
+        return {"dataset": e.dataset, "stratum": e.stratum, "group": e.group,
+                "incidents": e.incidents, "shifts": e.shifts, "rate": exact_json(e.rate)}
+
+    return {"strata": [entry(e) for e in rates.entries],
+            "pooled": [entry(e) for e in rates.pooled]}
+
+
+def rate_rows(rates: RateTable) -> list[list[str]]:
+    """Text rows ``dataset, stratum, group, rate``: per-stratum rows, then pooled."""
+    return [[e.dataset, e.stratum, e.group, sig6(e.rate) if e.rate is not None else "undefined"]
+            for e in (*rates.entries, *rates.pooled)]
 
 
 def binomial_json(r: BinomialAnalysisResult) -> dict:
@@ -283,44 +310,26 @@ def binomial_json(r: BinomialAnalysisResult) -> dict:
 
 
 def report_json(report: AnalysisReport) -> dict:
-    correlations = {}
-    for name, comp in report.correlations.items():
-        correlations[name] = {
-            "strata": [
-                {"stratum": label, **correlation_json(r)} for label, r in comp.stratum_values
-            ],
-            "pooled": correlation_json(comp.pooled),
-            "flattened_ratio": float_json(comp.flattened_ratio),
-            "composite_drop": float_json(comp.composite_drop),
-            "multiway_reference": report.multiway_reference.get(name),
-        }
-    simpson = {}
-    for name, verdict in report.simpson.items():
-        if verdict is None:
-            simpson[name] = None
-            continue
-        simpson[name] = {
-            "stratum_odds": [
-                {"stratum": label, **odds_json(o)} for label, o in verdict.stratum_odds
-            ],
-            "pooled_odds": odds_json(verdict.pooled_odds),
-            "directions": {label: side for label, side in verdict.directions},
-            "paradox": verdict.paradox,
-            "note": verdict.note,
-        }
     return {
         "datasets": list(report.dataset_names),
         "n_nurses": dict(report.n_nurses),
-        "correlations": correlations,
+        "correlations": {
+            name: {
+                **comparison_json(comp),
+                "composite_drop": float_json(comp.composite_drop),
+                "multiway_reference": report.multiway_reference.get(name),
+            }
+            for name, comp in report.correlations.items()
+        },
         "fisher": {
             name: {mode: fisher_json(r) for mode, r in modes.items()}
             for name, modes in report.fisher.items()
         },
-        "rates": {
-            "strata": [rate_entry_json(e) for e in report.rates.entries],
-            "pooled": [rate_entry_json(e) for e in report.rates.pooled],
+        "rates": rates_json(report.rates),
+        "simpson": {
+            name: None if verdict is None else simpson_json(verdict)
+            for name, verdict in report.simpson.items()
         },
-        "simpson": simpson,
         "binomial": {name: binomial_json(r) for name, r in report.binomial.items()},
         "notes": list(report.notes),
     }
@@ -353,15 +362,8 @@ def report_text(report: AnalysisReport) -> str:
         + text_table(["dataset", "stratified", "collapsed"], rows)
     )
 
-    rows = []
-    for e in report.rates.entries:
-        rows.append([e.dataset, e.stratum, e.group,
-                     sig6(e.rate) if e.rate is not None else "undefined"])
-    for e in report.rates.pooled:
-        rows.append([e.dataset, e.stratum, e.group,
-                     sig6(e.rate) if e.rate is not None else "undefined"])
     blocks.append("Incident rates per shift\n"
-                  + text_table(["dataset", "stratum", "group", "rate"], rows))
+                  + text_table(["dataset", "stratum", "group", "rate"], rate_rows(report.rates)))
 
     lines = []
     for name in report.dataset_names:

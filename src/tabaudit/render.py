@@ -6,6 +6,7 @@ fraction and the full-precision float value alongside the display string.
 
 from __future__ import annotations
 
+from decimal import Decimal
 from fractions import Fraction
 from typing import Sequence
 
@@ -15,16 +16,18 @@ def sig6(x) -> str:
     return format(float(x), ".6g")
 
 
-def fraction_str(f: Fraction) -> str:
-    return str(f)
-
-
 def exact_json(f: Fraction | None) -> dict | None:
     """JSON entry for an exact rational: fraction, float value, display."""
     if f is None:
         return None
+    try:
+        text = str(f)
+    except ValueError:  # past sys.get_int_max_str_digits(); Decimal prints any size
+        text = str(Decimal(f.numerator))
+        if f.denominator != 1:
+            text += f"/{Decimal(f.denominator)}"
     value = float(f)
-    return {"fraction": str(f), "value": value, "display": sig6(value)}
+    return {"fraction": text, "value": value, "display": sig6(value)}
 
 
 def float_json(x: float | None) -> dict | None:

@@ -32,11 +32,11 @@ import numpy as np
 
 BLOCK_TRIALS = 1 << 16
 
-_MASK64 = (1 << 64) - 1
-
 
 def _block_generator(seed: int, block: int) -> np.random.Generator:
-    key = np.array([seed & _MASK64, block & _MASK64], dtype=np.uint64)
+    if not 0 <= seed < 1 << 64:
+        raise ValueError(f"seed {seed} outside [0, 2**64)")
+    key = np.array([seed, block], dtype=np.uint64)
     return np.random.Generator(np.random.Philox(key=key))
 
 

@@ -24,6 +24,8 @@ class TableValidationError(ValueError):
 
 
 def _as_count(value, where: str) -> int:
+    if isinstance(value, bool):
+        raise TableValidationError(f"{where}: count {value!r} is a boolean, not an integer")
     try:
         n = operator.index(value)
     except TypeError:
@@ -123,7 +125,11 @@ class StratifiedTable:
         if not strata:
             raise TableValidationError("a stratified table needs at least one stratum")
         first = strata[0][1]
+        seen: set[str] = set()
         for label, table in strata:
+            if label in seen:
+                raise TableValidationError(f"duplicate stratum label {label!r}")
+            seen.add(label)
             if not isinstance(table, Table2x2):
                 raise TableValidationError(f"stratum {label!r} is not a Table2x2")
             if table.row_labels != first.row_labels or table.col_labels != first.col_labels:

@@ -82,6 +82,13 @@ class TestJsonRoundTrip:
         with pytest.raises(TableValidationError, match="negative"):
             datasets.from_json_dict(doc)
 
+    def test_boolean_count_is_validation_error(self):
+        # operator.index(True) is 1, so a JSON `true` must be refused explicitly
+        doc = {"name": "x", "row_labels": ["a", "b"], "col_labels": ["c", "d"],
+               "strata": [{"label": "s", "counts": [[1, True], [3, 4]]}]}
+        with pytest.raises(TableValidationError, match="cell b: count True is a boolean"):
+            datasets.from_json_dict(doc)
+
 
 class TestCsvRoundTrip:
     def test_text_round_trip(self):

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import sys
 from fractions import Fraction
 
 import pytest
@@ -16,7 +17,8 @@ from tabaudit.pipeline import (
     fisher_pipeline,
     replicate,
 )
-from tabaudit.render import sig6
+from tabaudit.exact import BinomialParams, binomial_upper_tail
+from tabaudit.render import exact_json, sig6
 from tabaudit.tables import StratifiedTable, Table2x2
 
 ORIGINAL = datasets.get("original")
@@ -139,6 +141,13 @@ class TestBinomialAnalysis:
         )
         assert tighter.k_star == 11
 
+    def test_tau_outside_unit_interval_rejected(self):
+        t = Table2x2(14, 187, 13, 1520)
+        for tau in (0, -0.05, Fraction(21, 20), 2):
+            with pytest.raises(ValueError, match=r"tau .* outside \(0, 1\]"):
+                binomial_analysis(t, tau=tau)
+        assert binomial_analysis(t, tau=1).k_star == 1   # P(X >= 0) = 1 is not < 1
+
 
 class TestReplicate:
     def test_reference_checks_pass(self):
@@ -202,3 +211,19 @@ class TestReplicate:
         r = report.fisher["original"]["stratified"]
         assert r.n_nurses == 1
         assert rel_close(r.one_in_n, 27 * 3.42638e8, tol=1e-3)
+
+
+class TestExactJson:
+    def test_fraction_past_int_str_digit_limit(self):
+        # a whole-hospital binomial tail: the reduced denominator has thousands
+        # of digits, more than str(int) converts under the default limit
+        tail = binomial_upper_tail(BinomialParams(2000, Fraction(13, 1533)), 40)
+        assert tail.denominator.bit_length() > 4300 * 3.33
+        doc = exact_json(tail)
+        assert doc["value"] == float(tail)
+        limit = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(0)
+        try:
+            assert doc["fraction"] == str(tail)
+        finally:
+            sys.set_int_max_str_digits(limit)

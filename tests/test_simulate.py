@@ -47,6 +47,13 @@ class TestDeterminism:
         b = simulate_tail(binomial_spec(seed=2), 6)
         assert a.hits != b.hits
 
+    def test_seed_outside_64_bits_rejected(self):
+        # a seed keys Philox as it is: -1 must not alias 2**64 - 1, and both ends work
+        for seed in (-1, 1 << 64):
+            with pytest.raises(ValueError, match=r"outside \[0, 2\*\*64\)"):
+                simulate_tail(binomial_spec(trials=10, seed=seed), 6)
+        assert simulate_tail(binomial_spec(trials=10, seed=(1 << 64) - 1), 0).hits == 10
+
     def test_block_boundary_is_stable(self):
         # trial counts straddling the 65536-trial block size stay consistent:
         # the first block of a longer run equals the shorter run's only block
