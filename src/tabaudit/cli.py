@@ -179,7 +179,7 @@ def cmd_binomial(args) -> int:
     k_range = None if args.k_min is None else (args.k_min, args.k_max)
     result = pipeline.binomial_analysis(table, k_range=k_range, tau=Fraction(str(args.tau)))
     doc = {"dataset": ds.name, "table": label, **pipeline.binomial_json(result)}
-    rows = [[f">= {row.threshold}", sig6(row.value)] for row in result.tails.rows]
+    rows = [[f">= {row.threshold}", sig6(row.exact)] for row in result.tails.rows]
     one_in = sig6(result.one_in_n) if result.one_in_n is not None else "infinite"
     text = (
         f"dataset: {ds.name or '(unnamed)'} ({label}); draws {result.draws}, "
@@ -251,7 +251,7 @@ def cmd_simulate(args) -> int:
     k = args.threshold if args.threshold is not None else table.a
     result = simulate.simulate_tail(spec, k)
     if spec.model == "binomial":
-        exact = binomial_upper_tail(BinomialParams(spec.draws, spec.rate), min(k, spec.draws + 1))
+        exact = binomial_upper_tail(BinomialParams(spec.draws, spec.rate), k)
     else:
         exact = hypergeom_upper_tail(spec.population, spec.draws, spec.successes, k)
     if args.log:

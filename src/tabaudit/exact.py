@@ -15,12 +15,28 @@ observed on ``observed`` incidents. The pmf is::
 The one-sided Fisher statistic of a 2x2 table is the upper tail
 P(X >= a) of that distribution with population = total, draws = row 1 sum,
 successes = column 1 sum. No two-sided variant is provided.
+
+Each tail is summed in integers and reduced to lowest terms once, not once
+per term. Consecutive hypergeometric terms have the ratio::
+
+    t(x+1) / t(x) = (successes - x)(draws - x) / ((x + 1)(population - successes - draws + x + 1))
+
+so a backward Horner pass over the ratios gives the sum of t(x) / t(a) as
+one integer numerator/denominator pair, and the tail is pmf(a) times that
+pair, built as a single ``Fraction``. Binomial terms share the denominator
+d**n, where rate = u/d and v = d - u; their integer numerators
+T(x) = C(n, x) u**x v**(n-x) step by T(x+1) = T(x) (n - x) u // ((x + 1) v),
+which divides exactly. Every tail sums the shorter side of the support:
+when fewer terms lie below the threshold than at or above it, the tail is
+1 minus their sum. The result is the identical ``Fraction`` either way,
+because a ``Fraction`` is always kept in lowest terms.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import islice
 from math import comb
 from typing import NamedTuple
 
@@ -58,16 +74,27 @@ class HypergeomParams:
         return range(lo, min(self.draws, self.successes) + 1)
 
 
-def _hyper_pmf(population: int, draws: int, successes: int, x: int) -> Fraction:
-    return Fraction(
-        comb(successes, x) * comb(population - successes, draws - x),
-        comb(population, draws),
-    )
+def _hyper_count(population: int, draws: int, successes: int, x: int) -> int:
+    """Number of draws with exactly ``x`` successes: the pmf numerator."""
+    return comb(successes, x) * comb(population - successes, draws - x)
 
 
 def hypergeom_pmf(params: HypergeomParams) -> Fraction:
     """Exact probability of the observed outcome."""
-    return _hyper_pmf(params.population, params.draws, params.successes, params.observed)
+    n, r, k = params.population, params.draws, params.successes
+    return Fraction(_hyper_count(n, r, k, params.observed), comb(n, r))
+
+
+def _ratio_sum(ratios) -> tuple[int, int]:
+    """``(num, den)`` with num/den = 1 + r_m (1 + ... r_2 (1 + r_1)).
+
+    r_i = p_i / q_i is the i-th ``(p, q)`` pair that ``ratios`` yields, so the
+    innermost ratio comes first (a Horner pass, integers only).
+    """
+    num = den = 1
+    for p, q in ratios:
+        num, den = q * den + p * num, q * den
+    return num, den
 
 
 def hypergeom_upper_tail(population: int, draws: int, successes: int, k: int) -> Fraction:
@@ -76,13 +103,25 @@ def hypergeom_upper_tail(population: int, draws: int, successes: int, k: int) ->
         raise ValueError(f"draws {draws} outside [0, {population}]")
     if not 0 <= successes <= population:
         raise ValueError(f"successes {successes} outside [0, {population}]")
-    hi = min(draws, successes)
+    lo, hi = max(0, draws + successes - population), min(draws, successes)
+    if k <= lo:
+        return Fraction(1)
     if k > hi:
         return Fraction(0)
-    return sum(
-        (_hyper_pmf(population, draws, successes, x) for x in range(max(k, 0), hi + 1)),
-        start=Fraction(0),
+    slack = population - successes - draws
+    total = comb(population, draws)
+    if k - lo < hi - k:
+        # 1 - sum of t(x) for x = lo..k-1, Horner over t(x-1)/t(x) from x = lo+1 up
+        num, den = _ratio_sum(
+            (x * (slack + x), (successes - x + 1) * (draws - x + 1)) for x in range(lo + 1, k)
+        )
+        scale = total * den
+        return Fraction(scale - _hyper_count(population, draws, successes, k - 1) * num, scale)
+    # sum of t(x) for x = k..hi, Horner over t(x+1)/t(x) from x = hi-1 down
+    num, den = _ratio_sum(
+        ((successes - x) * (draws - x), (x + 1) * (slack + x + 1)) for x in range(hi - 1, k - 1, -1)
     )
+    return Fraction(_hyper_count(population, draws, successes, k) * num, total * den)
 
 
 def fisher_upper_tail(t: Table2x2) -> Fraction:
@@ -106,21 +145,41 @@ class BinomialParams:
         object.__setattr__(self, "rate", rate)
 
 
+def _numerators(n: int, rate: Fraction, x: int):
+    """T(j) = C(n, j) u**j v**(n-j) for j = x..n, where rate = u/d and v = d - u.
+
+    T(j) / d**n is the binomial pmf at j.
+    """
+    u = rate.numerator
+    v = rate.denominator - u
+    if v == 0:  # rate 1: all mass at n
+        yield from (int(j == n) for j in range(x, n + 1))
+        return
+    t = comb(n, x) * u**x * v ** (n - x)
+    for j in range(x, n + 1):
+        yield t
+        t = t * (n - j) * u // ((j + 1) * v)
+
+
 def binomial_pmf(params: BinomialParams, x: int) -> Fraction:
     """Exact probability of exactly ``x`` successes in ``draws`` draws."""
-    n, p = params.draws, params.rate
+    n = params.draws
     if not 0 <= x <= n:
         raise SupportError(f"outcome {x} outside support [0, {n}]")
-    return comb(n, x) * p**x * (1 - p) ** (n - x)
+    return Fraction(next(_numerators(n, params.rate, x)), params.rate.denominator**n)
 
 
 def binomial_upper_tail(params: BinomialParams, k: int) -> Fraction:
-    """P(X >= k), computed as 1 minus the probability of 0..k-1 successes."""
+    """P(X >= k); 1 below the support, 0 above it."""
     n = params.draws
-    if not 0 <= k <= n + 1:
-        raise SupportError(f"threshold {k} outside [0, {n + 1}]")
-    below = sum((binomial_pmf(params, x) for x in range(k)), start=Fraction(0))
-    return 1 - below
+    if k <= 0:
+        return Fraction(1)
+    if k > n:
+        return Fraction(0)
+    scale = params.rate.denominator**n
+    if k < n - k:
+        return Fraction(scale - sum(islice(_numerators(n, params.rate, 0), k)), scale)
+    return Fraction(sum(_numerators(n, params.rate, k)), scale)
 
 
 class TailRow(NamedTuple):
@@ -159,11 +218,12 @@ def tail_table(params: BinomialParams, k_min: int, k_max: int) -> TailTable:
     n = params.draws
     if not 0 <= k_min <= k_max <= n + 1:
         raise SupportError(f"threshold range [{k_min}, {k_max}] outside [0, {n + 1}]")
-    below = sum((binomial_pmf(params, x) for x in range(k_min)), start=Fraction(0))
+    scale = params.rate.denominator**n
+    terms = _numerators(n, params.rate, 0)
+    below = sum(islice(terms, k_min))
     rows = []
     for k in range(k_min, k_max + 1):
-        tail = 1 - below
+        tail = Fraction(scale - below, scale)
         rows.append(TailRow(k, tail, float(tail)))
-        if k <= n:
-            below += binomial_pmf(params, k)
+        below += next(terms, 0)
     return TailTable(tuple(rows))

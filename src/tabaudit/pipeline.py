@@ -120,8 +120,12 @@ def binomial_analysis(
     if k_range is None:
         k_range = (0, min(k_obs + 1, draws + 1))
     params = BinomialParams(draws, null_rate)
-    tails = tail_table(params, k_range[0], k_range[1])
-    tail_obs = binomial_upper_tail(params, k_obs)
+    k_min, k_max = k_range
+    tails = tail_table(params, k_min, k_max)
+    if k_min <= k_obs <= k_max:
+        tail_obs = tails.rows[k_obs - k_min].exact
+    else:
+        tail_obs = binomial_upper_tail(params, k_obs)
     k_star = next((row.threshold for row in tails.rows if row.exact < tau), None)
     return BinomialAnalysisResult(
         draws=draws,
@@ -381,7 +385,7 @@ def report_text(report: AnalysisReport) -> str:
 
     for name in report.dataset_names:
         r = report.binomial[name]
-        rows = [[f">= {row.threshold}", sig6(row.value)] for row in r.tails.rows]
+        rows = [[f">= {row.threshold}", sig6(row.exact)] for row in r.tails.rows]
         head = (
             f"Binomial model: {name} (draws {r.draws}, null rate {r.null_rate} "
             f"= {sig6(r.null_rate)})"

@@ -6,6 +6,7 @@ fraction and the full-precision float value alongside the display string.
 
 from __future__ import annotations
 
+import math
 from decimal import Decimal
 from fractions import Fraction
 from typing import Sequence
@@ -13,7 +14,43 @@ from typing import Sequence
 
 def sig6(x) -> str:
     """Render a number to 6 significant figures."""
-    return format(float(x), ".6g")
+    return _sig6(x, _to_float(x))
+
+
+def _to_float(x) -> float | None:
+    """``float(x)``, or None where the value is too large for a float."""
+    try:
+        return float(x)
+    except OverflowError:
+        return None
+
+
+def _sig6(x, value: float | None) -> str:
+    """``value`` to 6 significant figures, or ``x`` itself if the float lost it."""
+    if value is None or (value == 0 and x != 0):
+        return _sig6_exact(Fraction(x))
+    return format(value, ".6g")
+
+
+def _sig6_exact(f: Fraction) -> str:
+    """Exponent form of ``format(f, ".6g")`` from the exact value, at any magnitude.
+
+    The decimal exponent comes from integer bit lengths and is corrected by
+    exact comparison, so no float and no capped ``str(int)`` is involved.
+    """
+    sign = "-" if f < 0 else ""
+    f = abs(f)
+    e = math.floor((f.numerator.bit_length() - f.denominator.bit_length()) * math.log10(2))
+    while f >= Fraction(10) ** (e + 1):
+        e += 1
+    while f < Fraction(10) ** e:
+        e -= 1
+    digits = round(f / Fraction(10) ** (e - 5))  # 6 digits, half to even
+    if digits == 10**6:
+        digits, e = 10**5, e + 1
+    head, tail = divmod(digits, 10**5)
+    mantissa = f"{head}.{tail:05d}".rstrip("0").rstrip(".")
+    return f"{sign}{mantissa}e{'-' if e < 0 else '+'}{abs(e):02d}"
 
 
 def exact_json(f: Fraction | None) -> dict | None:
@@ -26,8 +63,8 @@ def exact_json(f: Fraction | None) -> dict | None:
         text = str(Decimal(f.numerator))
         if f.denominator != 1:
             text += f"/{Decimal(f.denominator)}"
-    value = float(f)
-    return {"fraction": text, "value": value, "display": sig6(value)}
+    value = _to_float(f)  # None (JSON null) past the float range
+    return {"fraction": text, "value": value, "display": _sig6(f, value)}
 
 
 def float_json(x: float | None) -> dict | None:

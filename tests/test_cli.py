@@ -121,6 +121,31 @@ class TestFisher:
         assert doc["one_in_n"]["display"] == "1.64051"
         assert doc["n_nurses"] == 27
 
+    # the tail 1/C(1200, 600) underflows a float to 0, and one-in-N,
+    # C(1200, 600)/27 ~ 1.5e358, is past the float range
+    def test_one_in_n_past_float_range_text(self, capsys, tmp_path):
+        path = tmp_path / "big.csv"
+        path.write_text("w,600,0,0,600\n")
+        code, out, err = run_cli(capsys, "fisher", "--input", str(path))
+        assert (code, err) == (0, "")
+        assert "w        2.52201e-360" in out
+        assert out.endswith("one in N: 1.46855e+358\n")
+
+    def test_one_in_n_past_float_range_json(self, capsys, tmp_path):
+        path = tmp_path / "big.csv"
+        path.write_text("w,600,0,0,600\n")
+        code, out, err = run_cli(capsys, "fisher", "--input", str(path), "--format", "json")
+        assert (code, err) == (0, "")
+
+        def reject(constant):
+            raise AssertionError(f"invalid JSON constant {constant}")
+
+        doc = json.loads(out, parse_constant=reject)
+        assert doc["one_in_n"]["value"] is None
+        assert doc["one_in_n"]["display"] == "1.46855e+358"
+        assert doc["product"]["value"] == 0.0
+        assert doc["product"]["display"] == "2.52201e-360"
+
 
 class TestBinomial:
     def test_derksen(self, capsys):
@@ -232,6 +257,14 @@ class TestSimulate:
         doc = json.loads(out)
         assert doc["spec"]["population"] == 339
         assert doc["exact"]["display"] == "0.0715592"
+
+    def test_binomial_threshold_above_draws(self, capsys):
+        # derksen pooled: 203 draws, so no trial reaches 500 and the exact tail is 0
+        code, out, _ = run_cli(capsys, "simulate", "--dataset", "derksen", "--trials", "2000",
+                               "--threshold", "500", "--format", "json")
+        assert code == 0
+        doc = json.loads(out)
+        assert (doc["hits"], doc["exact"]["fraction"]) == (0, "0")
 
     def test_deterministic(self, capsys):
         args = ("simulate", "--dataset", "shops", "--trials", "3000", "--seed", "9")

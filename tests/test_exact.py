@@ -8,9 +8,11 @@ from itertools import combinations
 from math import comb
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import stats
 
+import comb_oracle as oracle
 from conftest import rel_close, tables
 from tabaudit.exact import (
     BinomialParams,
@@ -129,6 +131,22 @@ class TestFisherUpperTail:
         assert hypergeom_upper_tail(339, 58, 14, 15) == 0
         assert hypergeom_upper_tail(339, 58, 14, -3) == 1
 
+    def test_thresholds_far_outside_support(self):
+        assert hypergeom_upper_tail(339, 58, 14, -10**9) == 1
+        assert hypergeom_upper_tail(339, 58, 14, 10**9) == 0
+        # lower end of the support above 0: 300 + 300 - 500 = 100
+        assert hypergeom_upper_tail(500, 300, 300, 100) == 1
+        assert hypergeom_upper_tail(500, 300, 300, 301) == 0
+
+    def test_whole_hospital_scale_against_scipy(self):
+        # sparse incidence (1%) at N = 1e5, threshold ~2.5 sd above the mean
+        population, draws, successes = 100_000, 10_000, 1_000
+        k = 124
+        tail = hypergeom_upper_tail(population, draws, successes, k)
+        sf = stats.hypergeom(M=population, n=successes, N=draws).sf(k - 1)
+        assert 0.001 < sf < 0.05
+        assert rel_close(tail, sf)
+
 
 class TestBinomial:
     def test_symmetric_coin(self):
@@ -166,6 +184,13 @@ class TestBinomial:
     def test_tail_beyond_support_is_zero(self):
         assert binomial_upper_tail(BinomialParams(4, Fraction(1, 3)), 5) == 0
 
+    def test_thresholds_outside_support_like_hypergeometric(self):
+        params = BinomialParams(4, Fraction(1, 3))
+        assert binomial_upper_tail(params, -1) == 1
+        assert binomial_upper_tail(params, -10**9) == 1
+        assert binomial_upper_tail(params, 6) == 0
+        assert binomial_upper_tail(params, 10**9) == 0
+
     def test_against_scipy(self):
         params = BinomialParams(203, Fraction(14, 1531))
         for k in range(0, 10):
@@ -202,6 +227,97 @@ class TestTailTable:
     def test_bad_range(self):
         with pytest.raises(SupportError):
             tail_table(BinomialParams(5, Fraction(1, 2)), 4, 8)
+
+
+@st.composite
+def hypergeom_cases(draw, side):
+    """(population, draws, successes, k) with N <= 2000 and k inside the support,
+    on the side that the kernel sums: "lower" (1 - lower sum) or "upper"."""
+    population = draw(st.integers(min_value=2, max_value=2000))
+    draws = draw(st.integers(min_value=0, max_value=population))
+    successes = draw(st.integers(min_value=0, max_value=population))
+    lo, hi = max(0, draws + successes - population), min(draws, successes)
+    if side == "lower":
+        ks = [k for k in (lo + 1, (lo + hi) // 2) if lo < k <= hi and k - lo < hi - k]
+    else:
+        ks = [k for k in ((lo + hi + 1) // 2, hi) if lo < k <= hi and k - lo >= hi - k]
+    if not ks:
+        draws = successes = population // 2
+        lo, hi = 0, population // 2
+        ks = [1] if side == "lower" else [hi]
+    return population, draws, successes, draw(st.sampled_from(ks))
+
+
+rates = st.builds(
+    Fraction, st.integers(min_value=0, max_value=2000), st.integers(min_value=1, max_value=2000),
+).filter(lambda p: p <= 1)
+
+
+class TestAgainstCombOracle:
+    """The recurrence kernels return the identical Fraction as term-by-term sums."""
+
+    @pytest.mark.parametrize("side", ["lower", "upper"])
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_hypergeom_tail(self, side, data):
+        population, draws, successes, k = data.draw(hypergeom_cases(side))
+        assert (hypergeom_upper_tail(population, draws, successes, k)
+                == oracle.hypergeom_upper_tail(population, draws, successes, k))
+
+    def test_hypergeom_every_threshold_small(self):
+        for population in range(0, 13):
+            for draws in range(population + 1):
+                for successes in range(population + 1):
+                    for k in range(-1, min(draws, successes) + 3):
+                        assert (hypergeom_upper_tail(population, draws, successes, k)
+                                == oracle.hypergeom_upper_tail(population, draws, successes, k))
+
+    @pytest.mark.parametrize("side", ["lower", "upper"])
+    @settings(max_examples=25, deadline=None)
+    @given(n=st.integers(min_value=3, max_value=2000), rate=rates,
+           depth=st.integers(min_value=1, max_value=30))
+    def test_binomial_tail(self, side, n, rate, depth):
+        # the kernel sums the k terms below k when k < n - k, else the terms at or above
+        k = min(depth, (n - 1) // 2) if side == "lower" else max(n - depth, (n + 1) // 2)
+        assert (k < n - k) == (side == "lower")
+        params = BinomialParams(n, rate)
+        want = (oracle.binomial_upper_tail(n, rate, k) if side == "lower"
+                else sum(oracle.binomial_pmf(n, rate, x) for x in range(k, n + 1)))
+        assert binomial_upper_tail(params, k) == want
+        assert binomial_pmf(params, k) == oracle.binomial_pmf(n, rate, k)
+
+    @settings(max_examples=30, deadline=None)
+    @given(n=st.integers(min_value=0, max_value=120), rate=rates)
+    def test_binomial_every_row_and_pmf(self, n, rate):
+        params = BinomialParams(n, rate)
+        rows = tail_table(params, 0, n + 1).rows
+        assert [row.threshold for row in rows] == list(range(n + 2))
+        for row in rows:
+            assert row.exact == oracle.binomial_upper_tail(n, rate, row.threshold)
+            assert row.exact == binomial_upper_tail(params, row.threshold)
+            assert row.value == float(row.exact)
+        for x in range(n + 1):
+            assert binomial_pmf(params, x) == oracle.binomial_pmf(n, rate, x)
+
+    @settings(max_examples=25, deadline=None)
+    @given(n=st.integers(min_value=0, max_value=150), rate=rates, data=st.data())
+    def test_tail_table_partial_range(self, n, rate, data):
+        k_min = data.draw(st.integers(min_value=0, max_value=n + 1))
+        k_max = data.draw(st.integers(min_value=k_min, max_value=n + 1))
+        for row in tail_table(BinomialParams(n, rate), k_min, k_max).rows:
+            assert row.exact == oracle.binomial_upper_tail(n, rate, row.threshold)
+
+    @pytest.mark.parametrize("rate", [Fraction(0), Fraction(1)])
+    @pytest.mark.parametrize("n", [0, 1, 7])
+    def test_degenerate_rates_and_empty_draw(self, n, rate):
+        params = BinomialParams(n, rate)
+        for x in range(n + 1):
+            assert binomial_pmf(params, x) == oracle.binomial_pmf(n, rate, x)
+        for k in range(-2, n + 4):
+            want = oracle.binomial_upper_tail(n, rate, min(max(k, 0), n + 1))
+            assert binomial_upper_tail(params, k) == want
+        for row in tail_table(params, 0, n + 1).rows:
+            assert row.exact == oracle.binomial_upper_tail(n, rate, row.threshold)
 
 
 class TestFloatBoundary:

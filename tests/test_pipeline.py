@@ -149,6 +149,13 @@ class TestBinomialAnalysis:
         assert binomial_analysis(t, tau=1).k_star == 1   # P(X >= 0) = 1 is not < 1
 
 
+    @pytest.mark.parametrize("k_range", [None, (0, 3), (2, 14), (15, 20)])
+    def test_tail_at_k_obs_in_and_out_of_range(self, k_range):
+        t = Table2x2(14, 187, 13, 1520)
+        r = binomial_analysis(t, k_range=k_range)
+        assert r.tail_at_k_obs == binomial_upper_tail(BinomialParams(201, Fraction(13, 1533)), 14)
+
+
 class TestReplicate:
     def test_reference_checks_pass(self):
         report = replicate()
@@ -227,3 +234,15 @@ class TestExactJson:
             assert doc["fraction"] == str(tail)
         finally:
             sys.set_int_max_str_digits(limit)
+
+    def test_display_past_float_range(self):
+        # 6 significant figures of the exact value, rounded half to even
+        assert sig6(Fraction(9999995 * 10**394)) == "1e+401"
+        assert sig6(Fraction(9999985 * 10**394)) == "9.99998e+400"
+        assert sig6(-Fraction(10**400, 3)) == "-3.33333e+399"
+        assert sig6(Fraction(3, 10**400)) == "3e-400"
+        big = exact_json(Fraction(10**400, 7))
+        assert (big["value"], big["display"]) == (None, "1.42857e+399")
+        tiny = exact_json(Fraction(7, 10**400))
+        assert (tiny["value"], tiny["display"]) == (0.0, "7e-400")
+        assert exact_json(Fraction(0))["display"] == sig6(0.0) == "0"
