@@ -124,13 +124,18 @@ def from_json_dict(doc: Mapping, source: str = "<json>") -> StratifiedTable:
         raise DatasetFormatError(f"{source}: dataset document must be an object")
     try:
         name = doc.get("name", "")
-        row_labels = tuple(doc["row_labels"])
-        col_labels = tuple(doc["col_labels"])
+        row_labels = doc["row_labels"]
+        col_labels = doc["col_labels"]
         raw_strata = doc["strata"]
     except KeyError as exc:
         raise DatasetFormatError(f"{source}: missing key {exc.args[0]!r}") from None
-    if len(row_labels) != 2 or len(col_labels) != 2:
-        raise DatasetFormatError(f"{source}: row_labels and col_labels must each have 2 entries")
+    for key, labels in (("row_labels", row_labels), ("col_labels", col_labels)):
+        if not (isinstance(labels, list) and len(labels) == 2
+                and all(isinstance(label, str) for label in labels)):
+            raise DatasetFormatError(f"{source}: {key} must be a list of two strings, "
+                                     f"got {labels!r}")
+    if not isinstance(name, str):
+        raise DatasetFormatError(f"{source}: name must be a string, got {name!r}")
     if not isinstance(raw_strata, list) or not raw_strata:
         raise DatasetFormatError(f"{source}: 'strata' must be a non-empty list")
     strata = []
@@ -141,6 +146,8 @@ def from_json_dict(doc: Mapping, source: str = "<json>") -> StratifiedTable:
         except (TypeError, KeyError):
             raise DatasetFormatError(
                 f"{source}: stratum {i} needs 'label' and 'counts'") from None
+        if not isinstance(label, str):
+            raise DatasetFormatError(f"{source}: stratum {i} label {label!r} must be a string")
         if (
             not isinstance(counts, list)
             or len(counts) != 2
@@ -151,7 +158,7 @@ def from_json_dict(doc: Mapping, source: str = "<json>") -> StratifiedTable:
         strata.append(
             (label, Table2x2(a, b, c, d, row_labels=row_labels, col_labels=col_labels))
         )
-    return StratifiedTable(tuple(strata), name=str(name))
+    return StratifiedTable(tuple(strata), name=name)
 
 
 def load_json(path: str | Path) -> StratifiedTable:
@@ -173,8 +180,13 @@ def to_csv_text(s: StratifiedTable) -> str:
 
 
 def from_csv_text(text: str, name: str = "", source: str = "<csv>") -> StratifiedTable:
+    reader = csv.reader(io.StringIO(text))
+    try:
+        rows = list(reader)
+    except csv.Error as exc:
+        raise DatasetFormatError(f"{source}:{reader.line_num}: invalid CSV: {exc}") from None
     strata = []
-    for lineno, row in enumerate(csv.reader(io.StringIO(text)), start=1):
+    for lineno, row in enumerate(rows, start=1):
         if not row or all(not cell.strip() for cell in row):
             continue
         if lineno == 1 and [c.strip().lower() for c in row] == ["stratum", "a", "b", "c", "d"]:

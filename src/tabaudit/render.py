@@ -7,6 +7,7 @@ fraction and the full-precision float value alongside the display string.
 from __future__ import annotations
 
 import math
+import sys
 from decimal import Decimal
 from fractions import Fraction
 from typing import Sequence
@@ -26,8 +27,9 @@ def _to_float(x) -> float | None:
 
 
 def _sig6(x, value: float | None) -> str:
-    """``value`` to 6 significant figures, or ``x`` itself if the float lost it."""
-    if value is None or (value == 0 and x != 0):
+    """``value`` to 6 significant figures, or ``x`` itself if the float lost it:
+    on overflow, or as a subnormal, which keeps fewer than 6 significant figures."""
+    if value is None or (x != 0 and abs(value) < sys.float_info.min):
         return _sig6_exact(Fraction(x))
     return format(value, ".6g")
 

@@ -4,18 +4,18 @@ Two null models are simulated:
 
 * ``binomial`` - drawing with replacement: each trial draws ``draws`` times
   at a fixed rate and counts successes.
-* ``hypergeometric`` - drawing without replacement via a roster shuffle:
-  each trial permutes the roster of ``population`` shifts containing
-  ``successes`` incident shifts and counts how many incidents land in the
-  first ``draws`` positions (the suspect's shifts).
+* ``hypergeometric`` - drawing without replacement: each trial draws the
+  number of the ``successes`` incident shifts among ``population`` that land
+  in the suspect's ``draws`` shifts, directly from the hypergeometric law.
 
 Reproducibility protocol: trials are processed in fixed blocks of
 ``BLOCK_TRIALS``; block ``i`` uses its own counter-based Philox stream keyed
 by (seed, i). Results are therefore identical across runs and independent of
-how blocks are distributed over workers: merging is integer summation. The
-heterogeneous model draws one binomial count per nurse per trial (at most
-one incident per shift at that nurse's own rate); the estimate concerns the
-suspect's count only.
+how blocks are distributed over workers: merging is integer summation. In
+the heterogeneous model each nurse has their own rate (at most one incident
+per shift); the estimate reads the suspect's count alone, which is
+independent of the others, so only that binomial count is drawn. numpy is
+imported where a generator is built, so the exact paths never load it.
 """
 
 from __future__ import annotations
@@ -28,14 +28,14 @@ from fractions import Fraction
 from pathlib import Path
 from typing import Sequence
 
-import numpy as np
-
 BLOCK_TRIALS = 1 << 16
 
 
-def _block_generator(seed: int, block: int) -> np.random.Generator:
+def _block_generator(seed: int, block: int):
+    """The numpy ``Generator`` of one block: Philox keyed by (seed, block)."""
     if not 0 <= seed < 1 << 64:
         raise ValueError(f"seed {seed} outside [0, 2**64)")
+    import numpy as np
     key = np.array([seed, block], dtype=np.uint64)
     return np.random.Generator(np.random.Philox(key=key))
 
@@ -71,6 +71,10 @@ class SimulationSpec:
                 raise ValueError(f"draws {self.draws} outside [0, {self.population}]")
             if not 0 <= self.successes <= self.population:
                 raise ValueError(f"successes {self.successes} outside [0, {self.population}]")
+            if max(self.successes, self.population - self.successes) >= 10**9:
+                raise ValueError(f"successes {self.successes} and population - successes "
+                                 f"{self.population - self.successes} must each be below 10**9 "
+                                 "for numpy's hypergeometric sampler")
         else:
             raise ValueError(f"model must be 'binomial' or 'hypergeometric', got {self.model!r}")
 
@@ -109,44 +113,30 @@ class SimulationResult:
     hits: int
 
 
-def _result(hits: int, trials: int, seed: int) -> SimulationResult:
+def _simulate(draw, k: int, trials: int, seed: int) -> SimulationResult:
+    """Count trials with ``draw(rng, size) >= k``, one Philox stream per block."""
+    hits = 0
+    for block, done in enumerate(range(0, trials, BLOCK_TRIALS)):
+        counts = draw(_block_generator(seed, block), min(BLOCK_TRIALS, trials - done))
+        hits += int((counts >= k).sum())
     estimate = hits / trials
     stderr = math.sqrt(estimate * (1 - estimate) / trials)
     interval = (max(0.0, estimate - 3 * stderr), min(1.0, estimate + 3 * stderr))
     return SimulationResult(estimate, stderr, interval, trials, seed, hits)
 
 
-def _blocks(trials: int):
-    done = 0
-    block = 0
-    while done < trials:
-        size = min(BLOCK_TRIALS, trials - done)
-        yield block, size
-        done += size
-        block += 1
-
-
 def simulate_tail(spec: SimulationSpec, k: int) -> SimulationResult:
     """Estimate P(X >= k) under the spec's null model."""
     if k < 0:
         raise ValueError(f"threshold {k} is negative")
-    hits = 0
     if spec.model == "binomial":
-        p = float(spec.rate)
-        for block, size in _blocks(spec.trials):
-            rng = _block_generator(spec.seed, block)
-            counts = rng.binomial(spec.draws, p, size=size)
-            hits += int(np.count_nonzero(counts >= k))
+        def draw(rng, size):
+            return rng.binomial(spec.draws, float(spec.rate), size=size)
     else:
-        roster = np.zeros(spec.population, dtype=np.int8)
-        roster[: spec.successes] = 1
-        for block, size in _blocks(spec.trials):
-            rng = _block_generator(spec.seed, block)
-            shuffled = np.tile(roster, (size, 1))
-            rng.permuted(shuffled, axis=1, out=shuffled)
-            counts = shuffled[:, : spec.draws].sum(axis=1)
-            hits += int(np.count_nonzero(counts >= k))
-    return _result(hits, spec.trials, spec.seed)
+        def draw(rng, size):
+            return rng.hypergeometric(spec.successes, spec.population - spec.successes,
+                                      spec.draws, size=size)
+    return _simulate(draw, k, spec.trials, spec.seed)
 
 
 def simulate_heterogeneous(
@@ -164,18 +154,12 @@ def simulate_heterogeneous(
         raise ValueError(f"suspect index {suspect_index} outside 0..{len(rates) - 1}")
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
-    rate_arr = np.array([float(Fraction(r)) for r in rates])
-    if np.any(rate_arr < 0) or np.any(rate_arr > 1):
+    if any(not 0 <= Fraction(r) <= 1 for r in rates):
         raise ValueError("rates must lie in [0, 1]")
-    shift_arr = np.array(list(shifts), dtype=np.int64)
-    if np.any(shift_arr < 0):
+    if any(n < 0 for n in shifts):
         raise ValueError("shift counts must be non-negative")
-    hits = 0
-    for block, size in _blocks(trials):
-        rng = _block_generator(seed, block)
-        counts = rng.binomial(shift_arr, rate_arr, size=(size, len(rates)))
-        hits += int(np.count_nonzero(counts[:, suspect_index] >= k))
-    return _result(hits, trials, seed)
+    n, p = shifts[suspect_index], float(Fraction(rates[suspect_index]))
+    return _simulate(lambda rng, size: rng.binomial(n, p, size=size), k, trials, seed)
 
 
 LOG_HEADER = ("model", "seed", "trials", "k", "estimate", "stderr")

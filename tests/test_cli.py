@@ -266,6 +266,14 @@ class TestSimulate:
         doc = json.loads(out)
         assert (doc["hits"], doc["exact"]["fraction"]) == (0, "0")
 
+    def test_population_past_sampler_exit_3(self, capsys, tmp_path):
+        path = tmp_path / "huge.csv"
+        path.write_text("w,1000000000,0,0,5\n")
+        code, out, err = run_cli(capsys, "simulate", "--input", str(path),
+                                 "--model", "hypergeometric", "--trials", "10")
+        assert (code, out) == (3, "")
+        assert "successes 1000000000 and population - successes 5 must each be below" in err
+
     def test_deterministic(self, capsys):
         args = ("simulate", "--dataset", "shops", "--trials", "3000", "--seed", "9")
         _, first, _ = run_cli(capsys, *args)
@@ -356,6 +364,15 @@ class TestEntryPoint:
         )
         assert proc.returncode == 0
         assert "paradox: true" in proc.stdout
+
+    def test_exact_paths_do_not_import_numpy(self):
+        code = ("import contextlib, io, sys, tabaudit\n"
+                "from tabaudit import cli\n"
+                "with contextlib.redirect_stdout(io.StringIO()):\n"
+                "    assert cli.main(['replicate', '--format', 'json']) == 0\n"
+                "print('numpy' in sys.modules)")
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+        assert (proc.returncode, proc.stdout) == (0, "False\n")
 
     def test_module_invocation_error_code(self):
         proc = subprocess.run(
@@ -460,9 +477,9 @@ GOLDEN = {
     "binomial-stratum-text": (0, "5e6ef857c3febab39be2ba86fa488ec8467315b3d6e5d8086f7985a3cabbfdc6"),
     "binomial-stratum-json": (0, "aad7eeb9e4843b0431bc29d392a455768de502e3812402a2fdfcedc42b75c853"),
     "binomial-stratum-csv": (0, "fd22bddffcf01c82b5b36e7b1051f79ee1c243979da74f93b7ff45114d19fc66"),
-    "simulate-hypergeometric-text": (0, "e0269e1a1d36f09ce237c72a531242f279387903597a5b2a4d3aee3752e042dd"),
-    "simulate-hypergeometric-json": (0, "13fa65b2749f967e079c3b5974a25aa24455a2d70661a47006874287abad121d"),
-    "simulate-hypergeometric-csv": (0, "cac574f87fc0c6bae359663f2b36b71616807e5732ebcae98c5ec6538ef9a9fd"),
+    "simulate-hypergeometric-text": (0, "f4976e0e8554d40b47a67494190e40398c732b420365ec9a9d64dbb0042058cb"),
+    "simulate-hypergeometric-json": (0, "974c3a320d03449eed4bf0f1c6e12d897f3a7d484ed0929e7d7bbb58a4a87f38"),
+    "simulate-hypergeometric-csv": (0, "153a43e8de247d2d4a36bd30e5303d64bd9a50b843ac07466de8fbcfe5246de4"),
     "svg-stratum-text": (0, "f5bab992f7ef76edd48ecd5f6851a2cfba6bbf1ed9110c59384786d77cbc0176"),
     "svg-stratum-json": (0, "fd67f923ba1012b7d787ed54e4007b059dd5a52c9acef30d3c28e8ed1b853f3b"),
     "svg-stratum-csv": (0, "0b1b6354414f1c0bce3778cc9b417d16b88aa4921511f9b889ef3d72b2b67223"),

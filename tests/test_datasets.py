@@ -6,10 +6,43 @@ import json
 
 import pytest
 from hypothesis import given
+from hypothesis import strategies as st
 
 from conftest import stratified_tables
 from tabaudit import datasets
 from tabaudit.tables import TableValidationError, collapse
+
+
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=4), inner,
+                                                                 max_size=4),
+    max_leaves=12,
+)
+
+
+@st.composite
+def corrupted_documents(draw):
+    """A valid dataset document with at most one node replaced by any JSON value or removed."""
+    doc = datasets.to_json_dict(draw(stratified_tables()))
+    parent, key, node = None, None, doc
+    while isinstance(node, (dict, list)) and node and draw(st.booleans()):
+        key = draw(st.sampled_from(list(node) if isinstance(node, dict) else range(len(node))))
+        parent, node = node, node[key]
+    if isinstance(parent, dict) and draw(st.booleans()):
+        del parent[key]
+    elif parent is not None:
+        parent[key] = draw(json_values)
+    return doc
+
+
+@st.composite
+def corrupted_csv(draw):
+    """A valid dataset CSV with one slice replaced by arbitrary text."""
+    text = datasets.to_csv_text(draw(stratified_tables()))
+    i = draw(st.integers(0, len(text)))
+    j = draw(st.integers(i, len(text)))
+    return text[:i] + draw(st.text(max_size=4) | st.text(',"\r\n -01', max_size=4)) + text[j:]
 
 
 class TestEmbedded:
@@ -89,6 +122,31 @@ class TestJsonRoundTrip:
         with pytest.raises(TableValidationError, match="cell b: count True is a boolean"):
             datasets.from_json_dict(doc)
 
+    @pytest.mark.parametrize("field, value", [
+        ("row_labels", 5), ("row_labels", None), ("row_labels", "ab"), ("col_labels", ["c", 1]),
+    ])
+    def test_labels_must_be_two_strings(self, field, value):
+        doc = {"name": "x", "row_labels": ["a", "b"], "col_labels": ["c", "d"],
+               "strata": [{"label": "s", "counts": [[1, 2], [3, 4]]}], field: value}
+        with pytest.raises(datasets.DatasetFormatError, match=f"{field} must be a list of two"):
+            datasets.from_json_dict(doc)
+
+    @pytest.mark.parametrize("field, value", [("label", {"x": 1}), ("label", 7), ("name", [])])
+    def test_names_must_be_strings(self, field, value):
+        doc = {"name": "x", "row_labels": ["a", "b"], "col_labels": ["c", "d"],
+               "strata": [{"label": "s", "counts": [[1, 2], [3, 4]]}]}
+        (doc if field == "name" else doc["strata"][0])[field] = value
+        with pytest.raises(datasets.DatasetFormatError, match="must be a string"):
+            datasets.from_json_dict(doc)
+
+    @given(json_values | corrupted_documents())
+    def test_fuzz_loads_as_written_or_raises_documented_error(self, doc):
+        try:
+            s = datasets.from_json_dict(doc)
+        except (datasets.DatasetFormatError, TableValidationError):
+            return
+        assert datasets.to_json_dict(s) == {"name": "", **doc}
+
 
 class TestCsvRoundTrip:
     def test_text_round_trip(self):
@@ -119,6 +177,13 @@ class TestCsvRoundTrip:
     def test_empty_file(self):
         with pytest.raises(datasets.DatasetFormatError, match="no strata"):
             datasets.from_csv_text("stratum,a,b,c,d\n")
+
+    @given(st.text() | corrupted_csv())
+    def test_fuzz_loads_or_raises_documented_error(self, text):
+        try:
+            datasets.from_csv_text(text)
+        except (datasets.DatasetFormatError, TableValidationError):
+            pass
 
 
 class TestLoadPath:

@@ -246,3 +246,10 @@ class TestExactJson:
         tiny = exact_json(Fraction(7, 10**400))
         assert (tiny["value"], tiny["display"]) == (0.0, "7e-400")
         assert exact_json(Fraction(0))["display"] == sig6(0.0) == "0"
+
+    def test_display_of_subnormal_is_exact(self):
+        # float(1/(3e320)) is subnormal: it keeps fewer than 6 significant figures
+        tiny = Fraction(1, 3 * 10**320)
+        assert float(tiny) != 0
+        assert sig6(tiny) == exact_json(tiny)["display"] == "3.33333e-321"
+        assert sig6(sys.float_info.min) == "2.22507e-308"

@@ -73,6 +73,14 @@ class TestConvergence:
         result = simulate_tail(hypergeom_spec(trials=20000, seed=0), 5)
         assert abs(result.estimate - exact) <= 3 * oracle_sigma(exact, 20000)
 
+    def test_hypergeom_large_population_tracks_exact_tail(self):
+        # 1e5 shifts: no per-trial roster, so memory does not grow with the population
+        spec = SimulationSpec(model="hypergeometric", trials=100000, seed=1,
+                              draws=10000, population=100000, successes=1000)
+        exact = float(hypergeom_upper_tail(100000, 10000, 1000, 115))
+        result = simulate_tail(spec, 115)
+        assert abs(result.estimate - exact) <= 3 * oracle_sigma(exact, 100000)
+
     def test_hundred_seeds_within_three_sigma(self):
         # deterministic given the frozen seed list; observed worst case 2.66 sigma
         exact = float(binomial_upper_tail(BinomialParams(203, Fraction(14, 1531)), 6))
@@ -131,6 +139,12 @@ class TestHeterogeneous:
         result = simulate_heterogeneous(rates, [30, 25, 40], 1, 1, 2000, seed=4)
         assert result.estimate == 0.0
 
+    def test_rate_checked_exactly(self):
+        # these round to the floats 1.0 and -0.0, but neither is a probability
+        for rate in (Fraction(10**20 + 1, 10**20), Fraction(-1, 10**400)):
+            with pytest.raises(ValueError, match="rates must lie in"):
+                simulate_heterogeneous([Fraction(1, 2), rate], [10, 10], 1, 1, 100, seed=0)
+
     def test_length_mismatch(self):
         with pytest.raises(ValueError, match="rates but"):
             simulate_heterogeneous([Fraction(1, 2)], [10, 20], 0, 1, 100, seed=0)
@@ -158,6 +172,17 @@ class TestSpecAndLog:
         with pytest.raises(ValueError, match="outside"):
             SimulationSpec(model="hypergeometric", trials=10, seed=0,
                            draws=30, population=20, successes=5)
+
+    def test_spec_rejects_populations_past_the_sampler(self):
+        # numpy's hypergeometric sampler takes each class below 10**9
+        for successes, failures in ((10**9, 5), (5, 10**9)):
+            with pytest.raises(ValueError, match=f"successes {successes} and population - "
+                                                 f"successes {failures} must each be below"):
+                SimulationSpec(model="hypergeometric", trials=10, seed=0, draws=3,
+                               population=successes + failures, successes=successes)
+        edge = SimulationSpec(model="hypergeometric", trials=10, seed=0, draws=3,
+                              population=2 * (10**9 - 1), successes=10**9 - 1)
+        assert simulate_tail(edge, 0).hits == 10
 
     def test_spec_json_round_trip(self):
         for spec in (binomial_spec(), hypergeom_spec()):
