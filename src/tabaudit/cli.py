@@ -179,12 +179,11 @@ def cmd_binomial(args) -> int:
     k_range = None if args.k_min is None else (args.k_min, args.k_max)
     result = pipeline.binomial_analysis(table, k_range=k_range, tau=Fraction(str(args.tau)))
     doc = {"dataset": ds.name, "table": label, **pipeline.binomial_json(result)}
-    rows = [[f">= {row.threshold}", sig6(row.exact)] for row in result.tails.rows]
     one_in = sig6(result.one_in_n) if result.one_in_n is not None else "infinite"
     text = (
         f"dataset: {ds.name or '(unnamed)'} ({label}); draws {result.draws}, "
         f"null rate {result.null_rate} = {sig6(result.null_rate)}\n"
-        + text_table(["cases", "P(X >= k)"], rows)
+        + text_table(["cases", "P(X >= k)"], pipeline.tail_rows(result.tails))
         + f"\n\nobserved {result.k_obs}: tail {sig6(result.tail_at_k_obs)}, one in {one_in}"
         + f"\nexpected count {sig6(result.expected)}; first tail < {result.tau}: "
         + (str(result.k_star) if result.k_star is not None else "none in range")

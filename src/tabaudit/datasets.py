@@ -181,12 +181,16 @@ def to_csv_text(s: StratifiedTable) -> str:
 
 def from_csv_text(text: str, name: str = "", source: str = "<csv>") -> StratifiedTable:
     reader = csv.reader(io.StringIO(text))
+    records = []   # (physical line where the record starts, record)
+    start = 1
     try:
-        rows = list(reader)
+        for row in reader:
+            records.append((start, row))
+            start = reader.line_num + 1
     except csv.Error as exc:
         raise DatasetFormatError(f"{source}:{reader.line_num}: invalid CSV: {exc}") from None
     strata = []
-    for lineno, row in enumerate(rows, start=1):
+    for lineno, row in records:
         if not row or all(not cell.strip() for cell in row):
             continue
         if lineno == 1 and [c.strip().lower() for c in row] == ["stratum", "a", "b", "c", "d"]:

@@ -30,6 +30,15 @@ which divides exactly. Every tail sums the shorter side of the support:
 when fewer terms lie below the threshold than at or above it, the tail is
 1 minus their sum. The result is the identical ``Fraction`` either way,
 because a ``Fraction`` is always kept in lowest terms.
+
+A binomial tail table keeps each row as integers over the table's shared
+``scale = d**n``: the row for k is (scale - below) / scale, where ``below``
+sums T(x) for x < k. Range and monotonicity are checked by comparing those
+numerators. A row reaches lowest terms by dividing out gcd(numerator, d,
+denominator) until it is 1, because every prime the two share divides d:
+each step is a gcd of a big int and a small one, never of two big ints. A
+row carries its reduced numerator and denominator and their correctly
+rounded float; its ``Fraction`` (the identical one) is built only on request.
 """
 
 from __future__ import annotations
@@ -37,7 +46,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import islice
-from math import comb
+from math import comb, gcd
 from typing import NamedTuple
 
 from .tables import Table2x2
@@ -183,31 +192,68 @@ def binomial_upper_tail(params: BinomialParams, k: int) -> Fraction:
 
 
 class TailRow(NamedTuple):
+    """P(X >= threshold) = numerator / denominator in lowest terms.
+
+    ``value`` is the correctly rounded float of that quotient; ``exact`` builds
+    the ``Fraction`` only when a caller asks for it.
+    """
+
     threshold: int
-    exact: Fraction
+    numerator: int
+    denominator: int
     value: float
+
+    @property
+    def exact(self) -> Fraction:
+        return Fraction(self.numerator, self.denominator)
 
 
 @dataclass(frozen=True)
 class TailTable:
-    """Upper-tail probabilities P(X >= k) for a consecutive range of thresholds."""
+    """Upper-tail probabilities P(X >= k) for a consecutive range of thresholds.
+
+    Every row's denominator divides ``scale``, so the rows are checked by
+    comparing integer numerators over that one shared denominator.
+    """
 
     rows: tuple[TailRow, ...]
+    scale: int
 
     def __post_init__(self):
         prev = None
         for row in self.rows:
-            if not 0 <= row.exact <= 1:
+            if row.denominator < 1 or self.scale % row.denominator:
+                raise ValueError(f"denominator at {row.threshold} does not divide the scale")
+            tail = row.numerator * (self.scale // row.denominator)  # the row over ``scale``
+            if not 0 <= tail <= self.scale:
                 raise ValueError(f"tail at {row.threshold} outside [0, 1]")
-            if prev is not None and row.exact > prev:
+            if prev is not None and tail > prev:
                 raise ValueError(f"tail increases at threshold {row.threshold}")
-            prev = row.exact
+            prev = tail
 
     def at(self, threshold: int) -> Fraction:
         for row in self.rows:
             if row.threshold == threshold:
                 return row.exact
         raise KeyError(threshold)
+
+
+def _lowest_terms(num: int, d: int, scale: int) -> tuple[int, int]:
+    """``num / scale`` in lowest terms, where ``scale`` is a power of ``d``.
+
+    A prime shared by ``num`` and a divisor of ``scale`` divides ``d``, so
+    dividing out ``gcd(num, d, den)`` until it is 1 reaches lowest terms with
+    gcds of a big int and a small one only. 0 and 1, whose loops would run
+    once per factor of ``scale``, are answered directly.
+    """
+    if num == 0:
+        return 0, 1
+    if num == scale:
+        return 1, 1
+    den = scale
+    while (g := gcd(num, d, den)) > 1:
+        num, den = num // g, den // g
+    return num, den
 
 
 def tail_table(params: BinomialParams, k_min: int, k_max: int) -> TailTable:
@@ -218,12 +264,13 @@ def tail_table(params: BinomialParams, k_min: int, k_max: int) -> TailTable:
     n = params.draws
     if not 0 <= k_min <= k_max <= n + 1:
         raise SupportError(f"threshold range [{k_min}, {k_max}] outside [0, {n + 1}]")
-    scale = params.rate.denominator**n
+    d = params.rate.denominator
+    scale = d**n
     terms = _numerators(n, params.rate, 0)
     below = sum(islice(terms, k_min))
     rows = []
     for k in range(k_min, k_max + 1):
-        tail = Fraction(scale - below, scale)
-        rows.append(TailRow(k, tail, float(tail)))
+        num, den = _lowest_terms(scale - below, d, scale)
+        rows.append(TailRow(k, num, den, num / den))
         below += next(terms, 0)
-    return TailTable(tuple(rows))
+    return TailTable(tuple(rows), scale)

@@ -23,7 +23,7 @@ from . import datasets
 from .association import RateTable, rate_table
 from .confounding import CollapseComparison, SimpsonVerdict, collapse_comparison, simpson_check
 from .exact import BinomialParams, TailTable, binomial_upper_tail, fisher_upper_tail, tail_table
-from .render import exact_json, float_json, sig6, text_table
+from .render import exact_json, float_json, row_sig6, sig6, text_table
 from .tables import StratifiedTable, Table2x2, collapse
 
 POOLED_LABEL = "All"
@@ -126,7 +126,8 @@ def binomial_analysis(
         tail_obs = tails.rows[k_obs - k_min].exact
     else:
         tail_obs = binomial_upper_tail(params, k_obs)
-    k_star = next((row.threshold for row in tails.rows if row.exact < tau), None)
+    k_star = next((row.threshold for row in tails.rows
+                   if row.numerator * tau.denominator < tau.numerator * row.denominator), None)
     return BinomialAnalysisResult(
         draws=draws,
         null_rate=null_rate,
@@ -296,15 +297,18 @@ def rate_rows(rates: RateTable) -> list[list[str]]:
             for e in (*rates.entries, *rates.pooled)]
 
 
+def tail_rows(tails: TailTable) -> list[list[str]]:
+    """Text rows ``>= k, P(X >= k)`` of a tail table."""
+    return [[f">= {row.threshold}", row_sig6(row)] for row in tails.rows]
+
+
 def binomial_json(r: BinomialAnalysisResult) -> dict:
     return {
         "draws": r.draws,
         "null_rate": exact_json(r.null_rate),
         "suspect_rate": exact_json(r.suspect_rate),
         "k_obs": r.k_obs,
-        "rows": [
-            {"threshold": row.threshold, **exact_json(row.exact)} for row in r.tails.rows
-        ],
+        "rows": [{"threshold": row.threshold, **exact_json(row)} for row in r.tails.rows],
         "tail_at_k_obs": exact_json(r.tail_at_k_obs),
         "one_in_n": exact_json(r.one_in_n),
         "expected": exact_json(r.expected),
@@ -385,7 +389,7 @@ def report_text(report: AnalysisReport) -> str:
 
     for name in report.dataset_names:
         r = report.binomial[name]
-        rows = [[f">= {row.threshold}", sig6(row.exact)] for row in r.tails.rows]
+        rows = tail_rows(r.tails)
         head = (
             f"Binomial model: {name} (draws {r.draws}, null rate {r.null_rate} "
             f"= {sig6(r.null_rate)})"

@@ -10,12 +10,19 @@ import math
 import sys
 from decimal import Decimal
 from fractions import Fraction
+from functools import lru_cache
 from typing import Sequence
 
 
 def sig6(x) -> str:
     """Render a number to 6 significant figures."""
-    return _sig6(x, _to_float(x))
+    return _sig6(_to_float(x), lambda: Fraction(x))
+
+
+def row_sig6(row) -> str:
+    """:func:`sig6` of a tail row's exact value, read from its float ``value``
+    unless the float lost figures (then from ``row.exact``, as in ``sig6``)."""
+    return _sig6(row.value, lambda: row.exact)
 
 
 def _to_float(x) -> float | None:
@@ -26,11 +33,14 @@ def _to_float(x) -> float | None:
         return None
 
 
-def _sig6(x, value: float | None) -> str:
-    """``value`` to 6 significant figures, or ``x`` itself if the float lost it:
-    on overflow, or as a subnormal, which keeps fewer than 6 significant figures."""
-    if value is None or (x != 0 and abs(value) < sys.float_info.min):
-        return _sig6_exact(Fraction(x))
+def _sig6(value: float | None, exact) -> str:
+    """``value`` to 6 significant figures, or the exact value ``exact()`` if the
+    float lost it: on overflow (None), or below the normal range for a non-zero
+    value (subnormal or flushed to 0), which keeps fewer than 6 figures."""
+    if value is None or abs(value) < sys.float_info.min:
+        f = exact()
+        if f != 0:
+            return _sig6_exact(f)
     return format(value, ".6g")
 
 
@@ -55,18 +65,36 @@ def _sig6_exact(f: Fraction) -> str:
     return f"{sign}{mantissa}e{'-' if e < 0 else '+'}{abs(e):02d}"
 
 
-def exact_json(f: Fraction | None) -> dict | None:
-    """JSON entry for an exact rational: fraction, float value, display."""
+def _int_text(n: int) -> str:
+    try:
+        return str(n)
+    except ValueError:  # past sys.get_int_max_str_digits(); Decimal prints any size
+        return str(Decimal(n))
+
+
+#: Tail rows over one shared denominator follow each other, so the last
+#: denominator's text is kept for the next row.
+_denominator_text = lru_cache(maxsize=1)(_int_text)
+
+
+def exact_json(f) -> dict | None:
+    """JSON entry for an exact rational: fraction, float value, display.
+
+    ``f`` is a ``Fraction`` or a tail row: anything with a coprime integer
+    ``numerator`` and positive ``denominator``. It is written from those
+    integers; its float is their correctly rounded quotient, as
+    ``float(Fraction)`` computes it.
+    """
     if f is None:
         return None
+    num, den = f.numerator, f.denominator
+    text = _int_text(num) if den == 1 else f"{_int_text(num)}/{_denominator_text(den)}"
     try:
-        text = str(f)
-    except ValueError:  # past sys.get_int_max_str_digits(); Decimal prints any size
-        text = str(Decimal(f.numerator))
-        if f.denominator != 1:
-            text += f"/{Decimal(f.denominator)}"
-    value = _to_float(f)  # None (JSON null) past the float range
-    return {"fraction": text, "value": value, "display": _sig6(f, value)}
+        value = num / den
+    except OverflowError:  # JSON null past the float range
+        value = None
+    return {"fraction": text, "value": value,
+            "display": _sig6(value, lambda: Fraction(num, den))}
 
 
 def float_json(x: float | None) -> dict | None:

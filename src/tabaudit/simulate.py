@@ -23,6 +23,7 @@ from __future__ import annotations
 import csv
 import json
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
@@ -40,6 +41,17 @@ def _block_generator(seed: int, block: int):
     return np.random.Generator(np.random.Philox(key=key))
 
 
+def _as_int(value, field: str) -> int:
+    """``value`` as an ``int``; a boolean or non-integer raises ``ValueError``
+    naming ``field`` instead of being truncated by numpy."""
+    if not isinstance(value, bool):
+        try:
+            return operator.index(value)
+        except TypeError:
+            pass
+    raise ValueError(f"{field} must be an integer, got {value!r}")
+
+
 @dataclass(frozen=True)
 class SimulationSpec:
     """What to simulate: model, model parameters, trial count, seed."""
@@ -53,6 +65,11 @@ class SimulationSpec:
     successes: int | None = None    # hypergeometric: total incident shifts
 
     def __post_init__(self):
+        for field in ("trials", "seed", "draws", "population", "successes"):
+            value = getattr(self, field)
+            if value is None and field in ("population", "successes"):
+                continue   # optional: the binomial model has neither
+            object.__setattr__(self, field, _as_int(value, field))
         if self.trials < 1:
             raise ValueError(f"trials must be >= 1, got {self.trials}")
         if self.draws < 0:
@@ -150,12 +167,15 @@ def simulate_heterogeneous(
     """Estimate P(suspect count >= k) when each nurse draws at their own rate."""
     if len(rates) != len(shifts):
         raise ValueError(f"{len(rates)} rates but {len(shifts)} shift counts")
+    suspect_index = _as_int(suspect_index, "suspect_index")
     if not 0 <= suspect_index < len(rates):
         raise ValueError(f"suspect index {suspect_index} outside 0..{len(rates) - 1}")
+    trials, seed = _as_int(trials, "trials"), _as_int(seed, "seed")
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
     if any(not 0 <= Fraction(r) <= 1 for r in rates):
         raise ValueError("rates must lie in [0, 1]")
+    shifts = [_as_int(n, f"shifts[{i}]") for i, n in enumerate(shifts)]
     if any(n < 0 for n in shifts):
         raise ValueError("shift counts must be non-negative")
     n, p = shifts[suspect_index], float(Fraction(rates[suspect_index]))

@@ -170,6 +170,13 @@ class TestCsvRoundTrip:
         with pytest.raises(datasets.DatasetFormatError, match=":2:"):
             datasets.from_csv_text("w1,1,2,3,4\nw2,5,6\n")
 
+    def test_bad_record_names_its_physical_line(self):
+        # the quoted label spans lines 2-4, so the short record is on line 5
+        with pytest.raises(datasets.DatasetFormatError, match="^<csv>:5: expected 5 columns"):
+            datasets.from_csv_text('a,1,2,3,4\n"b\nc\nd",1,2,3,4\ne,1,2')
+        with pytest.raises(datasets.DatasetFormatError, match="^<csv>:4: counts must be"):
+            datasets.from_csv_text('a,1,2,3,4\n\n\nb,1,x,3,4\n')
+
     def test_non_integer_cell(self):
         with pytest.raises(datasets.DatasetFormatError, match="integers"):
             datasets.from_csv_text("w1,1,x,3,4\n")

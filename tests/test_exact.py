@@ -8,7 +8,7 @@ from itertools import combinations
 from math import comb
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
@@ -18,6 +18,8 @@ from tabaudit.exact import (
     BinomialParams,
     HypergeomParams,
     SupportError,
+    TailRow,
+    TailTable,
     binomial_pmf,
     binomial_upper_tail,
     fisher_upper_tail,
@@ -25,6 +27,7 @@ from tabaudit.exact import (
     hypergeom_upper_tail,
     tail_table,
 )
+from tabaudit.pipeline import binomial_analysis
 from tabaudit.tables import Table2x2
 
 
@@ -149,6 +152,18 @@ class TestFisherUpperTail:
 
 
 class TestBinomial:
+    def test_whole_hospital_table_against_scipy(self):
+        # sparse incidence (~1%) at N = 1e5: 10 000 draws at 901/90000, so every
+        # row is a fraction over 90000**10000 (about 50 000 digits)
+        t = Table2x2(125, 9875, 901, 89099)
+        r = binomial_analysis(t)
+        binom = stats.binom(10_000, 901 / 90_000)
+        assert 0.001 < binom.sf(124) < 0.05
+        assert rel_close(r.tail_at_k_obs, binom.sf(124))
+        for k in (100, 118, 126):
+            assert rel_close(r.tails.at(k), binom.sf(k - 1))
+            assert r.tails.rows[k].value == float(r.tails.at(k))
+
     def test_symmetric_coin(self):
         assert binomial_pmf(BinomialParams(2, Fraction(1, 2)), 1) == Fraction(1, 2)
 
@@ -227,6 +242,22 @@ class TestTailTable:
     def test_bad_range(self):
         with pytest.raises(SupportError):
             tail_table(BinomialParams(5, Fraction(1, 2)), 4, 8)
+
+    def test_row_outside_unit_interval_rejected(self):
+        for numerator in (5, -1):
+            with pytest.raises(ValueError, match=r"tail at 3 outside \[0, 1\]"):
+                TailTable((TailRow(3, numerator, 4, numerator / 4),), scale=8)
+
+    def test_increasing_pair_rejected(self):
+        rows = (TailRow(0, 1, 4, 0.25), TailRow(1, 1, 2, 0.5))
+        with pytest.raises(ValueError, match="tail increases at threshold 1"):
+            TailTable(rows, scale=8)
+        assert TailTable(rows[::-1], scale=8).at(0) == Fraction(1, 4)
+
+    def test_denominator_must_divide_scale(self):
+        for denominator in (3, 16, 0, -2):
+            with pytest.raises(ValueError, match="denominator at 0 does not divide the scale"):
+                TailTable((TailRow(0, 1, denominator, 0.0),), scale=8)
 
 
 @st.composite
@@ -318,6 +349,50 @@ class TestAgainstCombOracle:
             assert binomial_upper_tail(params, k) == want
         for row in tail_table(params, 0, n + 1).rows:
             assert row.exact == oracle.binomial_upper_tail(n, rate, row.threshold)
+
+
+SMALL_PRIME_RATES = [Fraction(1, 2), Fraction(3, 8), Fraction(7, 72), Fraction(5, 243),
+                     Fraction(0), Fraction(1)]
+
+
+@st.composite
+def small_prime_rates(draw):
+    """u/d with d a product of powers of 2, 3, 5 and 7, so rows share many factors with d."""
+    d = math.prod(p ** draw(st.integers(min_value=0, max_value=6)) for p in (2, 3, 5, 7))
+    return Fraction(draw(st.integers(min_value=0, max_value=d)), d)
+
+
+class TestTailRowsOverOneScale:
+    """Each row is Fraction(scale - below, scale) in lowest terms, scale = d**n."""
+
+    @settings(max_examples=40, deadline=None)
+    # at rate 1/6, n = 3, k = 2 the numerator 16 holds 2**4 and the scale 216 only 2**3
+    @example(n=3, rate=Fraction(1, 6))
+    @example(n=3, rate=Fraction(7, 10))
+    @given(n=st.integers(min_value=0, max_value=400),
+           rate=st.sampled_from(SMALL_PRIME_RATES) | small_prime_rates() | rates)
+    def test_rows_are_the_reduced_fractions(self, n, rate):
+        u, d = rate.numerator, rate.denominator
+        scale = d**n
+        table = tail_table(BinomialParams(n, rate), 0, n + 1)
+        assert table.scale == scale
+        below = 0
+        for k, row in enumerate(table.rows):
+            want = Fraction(scale - below, scale)
+            assert row.threshold == k
+            assert (row.numerator, row.denominator) == (want.numerator, want.denominator)
+            assert math.gcd(row.numerator, row.denominator) == 1
+            assert row.exact == want
+            assert row.value == float(row.exact)
+            if k <= n:
+                below += comb(n, k) * u**k * (d - u) ** (n - k)
+        assert (table.rows[0].numerator, table.rows[0].denominator) == (1, 1)
+        assert table.rows[-1].numerator == 0
+
+    @pytest.mark.parametrize("rate", SMALL_PRIME_RATES)
+    def test_empty_draw(self, rate):
+        rows = tail_table(BinomialParams(0, rate), 0, 1).rows
+        assert [(r.numerator, r.denominator, r.value) for r in rows] == [(1, 1, 1.0), (0, 1, 0.0)]
 
 
 class TestFloatBoundary:

@@ -14,10 +14,12 @@ from conftest import rel_close, stratified_tables
 from tabaudit import datasets, references
 from tabaudit.pipeline import (
     binomial_analysis,
+    binomial_json,
     fisher_pipeline,
     replicate,
+    tail_rows,
 )
-from tabaudit.exact import BinomialParams, binomial_upper_tail
+from tabaudit.exact import BinomialParams, binomial_upper_tail, tail_table
 from tabaudit.render import exact_json, sig6
 from tabaudit.tables import StratifiedTable, Table2x2
 
@@ -235,6 +237,25 @@ class TestExactJson:
         finally:
             sys.set_int_max_str_digits(limit)
 
+    def test_binomial_rows_past_int_str_digit_limit(self):
+        # 2000 draws at 13/1533: every row is over a divisor of 1533**2000
+        r = binomial_analysis(Table2x2(40, 1960, 13, 1520))
+        assert r.tails.scale.bit_length() > 4300 * 3.33
+        doc = binomial_json(r)
+        limit = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(0)
+        try:
+            assert len(doc["rows"]) == len(r.tails.rows) == 42
+            for entry, row in zip(doc["rows"], r.tails.rows):
+                assert entry["threshold"] == row.threshold
+                assert entry["fraction"] == str(row.exact)
+                assert entry["value"] == row.value == float(row.exact)
+                assert entry["display"] == sig6(row.exact)
+            assert doc["tail_at_k_obs"]["fraction"] == str(r.tail_at_k_obs)
+        finally:
+            sys.set_int_max_str_digits(limit)
+        assert max(len(entry["fraction"]) for entry in doc["rows"]) > 2 * 4300
+
     def test_display_past_float_range(self):
         # 6 significant figures of the exact value, rounded half to even
         assert sig6(Fraction(9999995 * 10**394)) == "1e+401"
@@ -246,6 +267,15 @@ class TestExactJson:
         tiny = exact_json(Fraction(7, 10**400))
         assert (tiny["value"], tiny["display"]) == (0.0, "7e-400")
         assert exact_json(Fraction(0))["display"] == sig6(0.0) == "0"
+
+    def test_tail_rows_display_exact_below_float_range(self):
+        # rows from ~1e-308 down to 1e-800 are subnormal or flush to 0 as floats
+        tails = tail_table(BinomialParams(400, Fraction(1, 100)), 0, 401)
+        assert any(0 < row.value < sys.float_info.min for row in tails.rows)
+        rows = tail_rows(tails)
+        assert [text for _, text in rows] == [sig6(row.exact) for row in tails.rows]
+        assert rows[400] == [">= 400", "1e-800"]
+        assert rows[401] == [">= 401", "0"]
 
     def test_display_of_subnormal_is_exact(self):
         # float(1/(3e320)) is subnormal: it keeps fewer than 6 significant figures

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import json
 import math
 from fractions import Fraction
 
@@ -153,6 +154,18 @@ class TestHeterogeneous:
         with pytest.raises(ValueError, match="suspect index"):
             simulate_heterogeneous([Fraction(1, 2)], [10], 3, 1, 100, seed=0)
 
+    def test_counts_must_be_integers(self):
+        # numpy would truncate 2.7 shifts to 2 and run True as one trial
+        rates = [Fraction(1, 2), Fraction(1, 3)]
+        for shifts, trials, seed, field in (([10, 2.7], 100, 0, r"shifts\[1\]"),
+                                            ([10, True], 100, 0, r"shifts\[1\]"),
+                                            ([10, 20], True, 0, "trials"),
+                                            ([10, 20], 100, 1.5, "seed")):
+            with pytest.raises(ValueError, match=f"{field} must be an integer"):
+                simulate_heterogeneous(rates, shifts, 1, 1, trials, seed=seed)
+        with pytest.raises(ValueError, match="suspect_index must be an integer, got True"):
+            simulate_heterogeneous(rates, [10, 20], True, 1, 100, seed=0)
+
     def test_deterministic(self):
         a = simulate_heterogeneous(self.RATES, self.SHIFTS, 2, 3, 30000, seed=77)
         b = simulate_heterogeneous(self.RATES, self.SHIFTS, 2, 3, 30000, seed=77)
@@ -172,6 +185,24 @@ class TestSpecAndLog:
         with pytest.raises(ValueError, match="outside"):
             SimulationSpec(model="hypergeometric", trials=10, seed=0,
                            draws=30, population=20, successes=5)
+
+    @pytest.mark.parametrize("field, value", [
+        ("trials", True), ("trials", 10.0), ("seed", False), ("seed", 0.5), ("draws", 2.5),
+        ("population", 339.0), ("successes", True),
+    ])
+    def test_spec_counts_must_be_integers(self, field, value):
+        doc = {**hypergeom_spec().to_json_dict(), field: value}
+        with pytest.raises(ValueError, match=f"{field} must be an integer, got {value!r}"):
+            SimulationSpec(**doc)
+
+    @pytest.mark.parametrize("field, value", [("trials", "true"), ("draws", "2.5"),
+                                              ("seed", "3.0"), ("successes", "14.5")])
+    def test_spec_json_counts_must_be_integers(self, field, value):
+        text = json.dumps(hypergeom_spec().to_json_dict()).replace(
+            f'"{field}": {getattr(hypergeom_spec(), field)}', f'"{field}": {value}')
+        assert value in text
+        with pytest.raises(ValueError, match=f"{field} must be an integer"):
+            SimulationSpec.from_json(text)
 
     def test_spec_rejects_populations_past_the_sampler(self):
         # numpy's hypergeometric sampler takes each class below 10**9
