@@ -34,20 +34,23 @@ because a ``Fraction`` is always kept in lowest terms.
 A binomial tail table keeps each row as integers over the table's shared
 ``scale = d**n``: the row for k is (scale - below) / scale, where ``below``
 sums T(x) for x < k. Range and monotonicity are checked by comparing those
-numerators. A row reaches lowest terms by dividing out gcd(numerator, d,
-denominator) until it is 1, because every prime the two share divides d:
-each step is a gcd of a big int and a small one, never of two big ints. A
-row carries its reduced numerator and denominator and their correctly
-rounded float; its ``Fraction`` (the identical one) is built only on request.
+numerators. A row reaches lowest terms by dividing out gcd(numerator, m,
+denominator), with m = d and then the square of the last divisor, until it
+is 1: every prime the two share divides d, so each step is a gcd of a big
+int and one at most twice as long as the shared part, never of two big ints
+of the row's length, and the passes grow logarithmically in the shared
+power. A row carries its reduced numerator and denominator and their
+correctly rounded float; its ``Fraction`` (the identical one) is built on
+its first read and kept.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from itertools import islice
 from math import comb, gcd
-from typing import NamedTuple
 
 from .tables import Table2x2
 
@@ -191,11 +194,12 @@ def binomial_upper_tail(params: BinomialParams, k: int) -> Fraction:
     return Fraction(sum(_numerators(n, params.rate, k)), scale)
 
 
-class TailRow(NamedTuple):
+@dataclass(frozen=True)
+class TailRow:
     """P(X >= threshold) = numerator / denominator in lowest terms.
 
     ``value`` is the correctly rounded float of that quotient; ``exact`` builds
-    the ``Fraction`` only when a caller asks for it.
+    the ``Fraction`` on its first read and keeps it.
     """
 
     threshold: int
@@ -203,7 +207,7 @@ class TailRow(NamedTuple):
     denominator: int
     value: float
 
-    @property
+    @cached_property
     def exact(self) -> Fraction:
         return Fraction(self.numerator, self.denominator)
 
@@ -241,18 +245,21 @@ class TailTable:
 def _lowest_terms(num: int, d: int, scale: int) -> tuple[int, int]:
     """``num / scale`` in lowest terms, where ``scale`` is a power of ``d``.
 
-    A prime shared by ``num`` and a divisor of ``scale`` divides ``d``, so
-    dividing out ``gcd(num, d, den)`` until it is 1 reaches lowest terms with
-    gcds of a big int and a small one only. 0 and 1, whose loops would run
-    once per factor of ``scale``, are answered directly.
+    Every prime shared by ``num`` and a divisor of ``scale`` divides ``d``, so
+    the shared part is divided out by ``g = gcd(num, m, den)`` with ``m = d``
+    at first and then ``g * g``: ``m`` keeps every prime still shared, and the
+    power of each that is divided out doubles from pass to pass. A row equal
+    to 1/2 at rate 1/2 (numerator 2**(n-1)) takes about log2(n) passes, not n;
+    after the first pass ``m`` is at most twice as long as the part already
+    divided out. 0 and 1 are answered directly.
     """
     if num == 0:
         return 0, 1
     if num == scale:
         return 1, 1
-    den = scale
-    while (g := gcd(num, d, den)) > 1:
-        num, den = num // g, den // g
+    den, m = scale, d
+    while (g := gcd(num, m, den)) > 1:
+        num, den, m = num // g, den // g, g * g
     return num, den
 
 

@@ -72,8 +72,9 @@ def _int_text(n: int) -> str:
         return str(Decimal(n))
 
 
-#: Tail rows over one shared denominator follow each other, so the last
-#: denominator's text is kept for the next row.
+#: A tail row whose numerator shares no prime with the rate's denominator
+#: keeps the table's whole scale as its denominator, so runs of rows repeat
+#: one long denominator; the last one's text is kept for the next row.
 _denominator_text = lru_cache(maxsize=1)(_int_text)
 
 

@@ -14,6 +14,7 @@ from scipy import stats
 
 import comb_oracle as oracle
 from conftest import rel_close, tables
+from tabaudit import exact
 from tabaudit.exact import (
     BinomialParams,
     HypergeomParams,
@@ -393,6 +394,27 @@ class TestTailRowsOverOneScale:
     def test_empty_draw(self, rate):
         rows = tail_table(BinomialParams(0, rate), 0, 1).rows
         assert [(r.numerator, r.denominator, r.value) for r in rows] == [(1, 1, 1.0), (0, 1, 0.0)]
+
+    @pytest.mark.parametrize("n", [3, 101, 100_001])
+    def test_half_row_reduces_in_logarithmic_passes(self, n, monkeypatch):
+        # at rate 1/2 and odd n the row at (n + 1) / 2 is 2**(n-1) / 2**n, which
+        # shares n - 1 factors of d = 2 with the scale
+        passes = 0
+
+        def counting_gcd(*args):
+            nonlocal passes
+            passes += 1
+            return math.gcd(*args)
+
+        monkeypatch.setattr(exact, "gcd", counting_gcd)
+        num, den = exact._lowest_terms(2 ** (n - 1), 2, 2**n)
+        assert (num, den) == (1, 2)
+        assert passes <= math.log2(n) + 3
+
+    def test_exact_is_built_once(self):
+        row = tail_table(BinomialParams(40, Fraction(7, 72)), 5, 5).rows[0]
+        assert row.exact is row.exact
+        assert row.exact == binomial_upper_tail(BinomialParams(40, Fraction(7, 72)), 5)
 
 
 class TestFloatBoundary:
