@@ -34,29 +34,73 @@ because a ``Fraction`` is always kept in lowest terms.
 A binomial tail table keeps each row as integers over the table's shared
 ``scale = d**n``: the row for k is (scale - below) / scale, where ``below``
 sums T(x) for x < k. Range and monotonicity are checked by comparing those
-numerators. A row reaches lowest terms by dividing out gcd(numerator, m,
-denominator), with m = d and then the square of the last divisor, until it
-is 1: every prime the two share divides d, so each step is a gcd of a big
-int and one at most twice as long as the shared part, never of two big ints
-of the row's length, and the passes grow logarithmically in the shared
-power. A row carries its reduced numerator and denominator and their
-correctly rounded float; its ``Fraction`` (the identical one) is built on
-its first read and kept.
+numerators. Every prime that a row's numerator shares with the scale
+divides d, so the row reaches lowest terms by dividing out powers of
+b = gcd(numerator, d, denominator): b, b**2, b**4, ... while each divides
+both, then the rest one square at a time, and again with the next, smaller
+b until it is 1. Each step is a gcd or a division by an int at most as long
+as the shared part, never a gcd of two big ints of the row's length, and
+the steps grow logarithmically in the shared power. A row carries its
+reduced numerator and denominator, their correctly rounded float, and the
+``(b, e)`` pairs it divided out; its ``Fraction`` (the identical one) is
+built on its first read and kept.
+
+The rows' decimal text comes from a second pass of the same recurrence in
+``decimal.Decimal``, under a context that cannot round: ``prec=MAX_PREC``,
+``Emax=MAX_EMAX``, ``Emin=MIN_EMIN``, with ``Inexact`` and ``Rounded``
+trapped. It starts from ``Decimal(v) ** n`` and ``Decimal(d) ** n``, so no
+big int is ever converted to decimal, which takes quadratic time
+(``str(int)`` on CPython 3.11, ``Decimal(int)``). A row's text is (scale - below) / G over
+scale / G, where G is the product of ``Decimal(b) ** e`` over its pairs.
+Both divisions are exact. The pass, the divisions and ``str(Decimal)`` take
+time linear in the digits while G is short, as it is for most rows, and
+G = 1 needs no division. Rows equal to 0 or 1 are written directly. The pass
+runs once per table, on the first read of ``TailTable.texts``, so text and
+CSV output and threshold searches never pay for it.
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
+from decimal import (MAX_EMAX, MAX_PREC, MIN_EMIN, Context, Decimal, DivisionByZero, Inexact,
+                     InvalidOperation, Overflow, Rounded, localcontext)
 from fractions import Fraction
 from functools import cached_property
 from itertools import islice
-from math import comb, gcd
+from math import comb, gcd, prod
 
 from .tables import Table2x2
 
 
 class SupportError(ValueError):
     """An outcome lies outside the distribution's support."""
+
+
+def _as_int(value, field: str) -> int:
+    """``value`` as an ``int``; a boolean or non-integer raises ``ValueError``
+    naming ``field`` instead of being truncated or read as 0 or 1."""
+    if not isinstance(value, bool):
+        try:
+            return operator.index(value)
+        except TypeError:
+            pass
+    raise ValueError(f"{field} must be an integer, got {value!r}")
+
+
+def _as_rate(value) -> Fraction:
+    """``value`` as an exact probability; a boolean, a non-number or a value
+    outside [0, 1] raises ``ValueError``."""
+    if not isinstance(value, bool):
+        try:
+            rate = Fraction(value)
+        except (TypeError, ValueError, OverflowError, ZeroDivisionError):
+            pass
+        else:
+            if not 0 <= rate <= 1:
+                raise ValueError(f"rate {rate} outside [0, 1]")
+            return rate
+    raise ValueError(f"rate must be a rational number, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -111,6 +155,7 @@ def _ratio_sum(ratios) -> tuple[int, int]:
 
 def hypergeom_upper_tail(population: int, draws: int, successes: int, k: int) -> Fraction:
     """P(X >= k) for the hypergeometric; 1 below the support, 0 above it."""
+    k = _as_int(k, "k")
     if not 0 <= draws <= population:
         raise ValueError(f"draws {draws} outside [0, {population}]")
     if not 0 <= successes <= population:
@@ -149,28 +194,29 @@ class BinomialParams:
     rate: Fraction
 
     def __post_init__(self):
-        if self.draws < 0:
-            raise ValueError(f"draws {self.draws} is negative")
-        rate = Fraction(self.rate)
-        if not 0 <= rate <= 1:
-            raise ValueError(f"rate {rate} outside [0, 1]")
-        object.__setattr__(self, "rate", rate)
+        draws = _as_int(self.draws, "draws")
+        if draws < 0:
+            raise ValueError(f"draws {draws} is negative")
+        object.__setattr__(self, "draws", draws)
+        object.__setattr__(self, "rate", _as_rate(self.rate))
 
 
-def _numerators(n: int, rate: Fraction, x: int):
+def _numerators(n: int, rate: Fraction, x: int, kind=int):
     """T(j) = C(n, j) u**j v**(n-j) for j = x..n, where rate = u/d and v = d - u.
 
-    T(j) / d**n is the binomial pmf at j.
+    T(j) / d**n is the binomial pmf at j. The terms are ``kind``: ``int``, or
+    ``Decimal`` under an exact context from x = 0, where the first term is
+    ``Decimal(v) ** n`` and no big integer is converted. At rate 1 they are ints.
     """
     u = rate.numerator
     v = rate.denominator - u
     if v == 0:  # rate 1: all mass at n
         yield from (int(j == n) for j in range(x, n + 1))
         return
-    t = comb(n, x) * u**x * v ** (n - x)
+    t = comb(n, x) * u**x * kind(v) ** (n - x)
     for j in range(x, n + 1):
         yield t
-        t = t * (n - j) * u // ((j + 1) * v)
+        t = t * ((n - j) * u) // ((j + 1) * v)
 
 
 def binomial_pmf(params: BinomialParams, x: int) -> Fraction:
@@ -183,6 +229,7 @@ def binomial_pmf(params: BinomialParams, x: int) -> Fraction:
 
 def binomial_upper_tail(params: BinomialParams, k: int) -> Fraction:
     """P(X >= k); 1 below the support, 0 above it."""
+    k = _as_int(k, "k")
     n = params.draws
     if k <= 0:
         return Fraction(1)
@@ -199,13 +246,16 @@ class TailRow:
     """P(X >= threshold) = numerator / denominator in lowest terms.
 
     ``value`` is the correctly rounded float of that quotient; ``exact`` builds
-    the ``Fraction`` on its first read and keeps it.
+    the ``Fraction`` on its first read and keeps it. Unless the row is 0 or 1,
+    ``shared`` lists the ``(b, e)`` pairs whose product of ``b**e`` is the
+    part of the table's scale divided out: scale / denominator.
     """
 
     threshold: int
     numerator: int
     denominator: int
     value: float
+    shared: tuple[tuple[int, int], ...] = ()
 
     @cached_property
     def exact(self) -> Fraction:
@@ -217,11 +267,14 @@ class TailTable:
     """Upper-tail probabilities P(X >= k) for a consecutive range of thresholds.
 
     Every row's denominator divides ``scale``, so the rows are checked by
-    comparing integer numerators over that one shared denominator.
+    comparing integer numerators over that one shared denominator. A table
+    from :func:`tail_table` keeps its ``params``, from which ``texts`` writes
+    the rows in decimal.
     """
 
     rows: tuple[TailRow, ...]
     scale: int
+    params: BinomialParams | None = None
 
     def __post_init__(self):
         prev = None
@@ -241,26 +294,50 @@ class TailTable:
                 return row.exact
         raise KeyError(threshold)
 
+    @cached_property
+    def texts(self) -> tuple[str, ...]:
+        """Each row as ``"numerator/denominator"`` in decimal digits, or as
+        ``"0"`` or ``"1"``: built by the decimal pass on the first read and kept."""
+        if self.params is None:
+            raise ValueError("row texts need the params the table was computed from")
+        return _row_texts(self.params, self.rows)
 
-def _lowest_terms(num: int, d: int, scale: int) -> tuple[int, int]:
-    """``num / scale`` in lowest terms, where ``scale`` is a power of ``d``.
+
+def _lowest_terms(num: int, d: int, scale: int) -> tuple[int, int, tuple[tuple[int, int], ...]]:
+    """``num / scale`` in lowest terms, where ``scale`` is a power of ``d``,
+    and the part divided out: ``(num', den', shared)`` with gcd(num, scale)
+    equal to the product of ``b**e`` over the ``(b, e)`` pairs in ``shared``.
 
     Every prime shared by ``num`` and a divisor of ``scale`` divides ``d``, so
-    the shared part is divided out by ``g = gcd(num, m, den)`` with ``m = d``
-    at first and then ``g * g``: ``m`` keeps every prime still shared, and the
-    power of each that is divided out doubles from pass to pass. A row equal
-    to 1/2 at rate 1/2 (numerator 2**(n-1)) takes about log2(n) passes, not n;
-    after the first pass ``m`` is at most twice as long as the part already
-    divided out. 0 and 1 are answered directly.
+    ``b = gcd(num, d, den)`` holds every prime still shared. The largest power
+    of ``b`` that divides both is divided out by squaring: ``b``, ``b**2``,
+    ``b**4``, ... while ``h = gcd(num, square, den)`` shows the square divides
+    both. The first ``h`` that falls short holds the rest of the power, so the
+    rest is read off ``h`` (a divisor of that square, not of the row's length)
+    one square at a time on the way back down, and the next ``b`` is
+    gcd(h, d): it divides the last ``b`` and is smaller, so there are at most
+    log2(d) of them. A row equal to 1/2 at rate
+    1/2 (numerator 2**(n-1)) takes one ``b`` and about log2(n) gcds of big
+    ints, not n. 0 and 1 are answered directly.
     """
     if num == 0:
-        return 0, 1
+        return 0, 1, ()
     if num == scale:
-        return 1, 1
-    den, m = scale, d
-    while (g := gcd(num, m, den)) > 1:
-        num, den, m = num // g, den // g, g * g
-    return num, den
+        return 1, 1, ()
+    den, shared = scale, []
+    b = gcd(num, d, den)
+    while b > 1:
+        num, den, powers = num // b, den // b, [b]   # powers[i] = b**(2**i)
+        while (h := gcd(num, m := powers[-1] ** 2, den)) == m:
+            num, den = num // m, den // m
+            powers.append(m)
+        e = (1 << len(powers)) - 1
+        for i in reversed(range(len(powers))):
+            if h % powers[i] == 0:
+                num, den, h, e = num // powers[i], den // powers[i], h // powers[i], e + (1 << i)
+        shared.append((b, e))
+        b = gcd(h, d)
+    return num, den, tuple(shared)
 
 
 def tail_table(params: BinomialParams, k_min: int, k_max: int) -> TailTable:
@@ -268,6 +345,7 @@ def tail_table(params: BinomialParams, k_min: int, k_max: int) -> TailTable:
 
     Thresholds are taken literally: the row for k is P(X >= k).
     """
+    k_min, k_max = _as_int(k_min, "k_min"), _as_int(k_max, "k_max")
     n = params.draws
     if not 0 <= k_min <= k_max <= n + 1:
         raise SupportError(f"threshold range [{k_min}, {k_max}] outside [0, {n + 1}]")
@@ -277,7 +355,40 @@ def tail_table(params: BinomialParams, k_min: int, k_max: int) -> TailTable:
     below = sum(islice(terms, k_min))
     rows = []
     for k in range(k_min, k_max + 1):
-        num, den = _lowest_terms(scale - below, d, scale)
-        rows.append(TailRow(k, num, den, num / den))
+        num, den, shared = _lowest_terms(scale - below, d, scale)
+        rows.append(TailRow(k, num, den, num / den, shared))
         below += next(terms, 0)
-    return TailTable(tuple(rows), scale)
+    return TailTable(tuple(rows), scale, params)
+
+
+#: Decimal arithmetic that never rounds: every operation is exact or raises.
+_EXACT = Context(prec=MAX_PREC, Emax=MAX_EMAX, Emin=MIN_EMIN,
+                 traps=[InvalidOperation, DivisionByZero, Overflow, Inexact, Rounded])
+
+
+def _row_texts(params: BinomialParams, rows) -> tuple[str, ...]:
+    """The decimal text of each row of a :func:`tail_table` over ``params``.
+
+    The recurrence runs a second time in ``Decimal`` from x = 0, so the row
+    for k is (scale - below) / G over scale / G, with G built in decimal as
+    the product of ``b**e`` over the row's ``shared`` pairs; both divisions
+    are exact. No big ``int`` is converted to decimal, which is quadratic.
+    Rows that divide out the same pairs share G and the denominator's text.
+    """
+    n, rate = params.draws, params.rate
+    texts, denominators = [], {}   # shared pairs -> (G, text of scale / G)
+    with localcontext(_EXACT):
+        scale = Decimal(rate.denominator) ** n
+        terms = _numerators(n, rate, 0, Decimal)
+        below = sum(islice(terms, rows[0].threshold if rows else 0), Decimal(0))
+        for row in rows:
+            if row.denominator == 1:   # the row is 0 or 1
+                texts.append(str(row.numerator))
+            else:
+                if row.shared not in denominators:
+                    g = prod(Decimal(b) ** e for b, e in row.shared)
+                    denominators[row.shared] = g, str(scale // g)
+                g, den = denominators[row.shared]
+                texts.append(f"{(scale - below) // g}/{den}")
+            below += next(terms, 0)
+    return tuple(texts)

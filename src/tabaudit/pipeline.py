@@ -308,7 +308,8 @@ def binomial_json(r: BinomialAnalysisResult) -> dict:
         "null_rate": exact_json(r.null_rate),
         "suspect_rate": exact_json(r.suspect_rate),
         "k_obs": r.k_obs,
-        "rows": [{"threshold": row.threshold, **exact_json(row)} for row in r.tails.rows],
+        "rows": [{"threshold": row.threshold, "fraction": text, "value": row.value,
+                  "display": row_sig6(row)} for row, text in zip(r.tails.rows, r.tails.texts)],
         "tail_at_k_obs": exact_json(r.tail_at_k_obs),
         "one_in_n": exact_json(r.one_in_n),
         "expected": exact_json(r.expected),

@@ -10,7 +10,6 @@ import math
 import sys
 from decimal import Decimal
 from fractions import Fraction
-from functools import lru_cache
 from typing import Sequence
 
 
@@ -72,30 +71,21 @@ def _int_text(n: int) -> str:
         return str(Decimal(n))
 
 
-#: A tail row whose numerator shares no prime with the rate's denominator
-#: keeps the table's whole scale as its denominator, so runs of rows repeat
-#: one long denominator; the last one's text is kept for the next row.
-_denominator_text = lru_cache(maxsize=1)(_int_text)
-
-
-def exact_json(f) -> dict | None:
+def exact_json(f: Fraction | None) -> dict | None:
     """JSON entry for an exact rational: fraction, float value, display.
 
-    ``f`` is a ``Fraction`` or a tail row: anything with a coprime integer
-    ``numerator`` and positive ``denominator``. It is written from those
-    integers; its float is their correctly rounded quotient, as
-    ``float(Fraction)`` computes it.
+    The float is the correctly rounded quotient of the numerator and
+    denominator, as ``float(Fraction)`` computes it.
     """
     if f is None:
         return None
     num, den = f.numerator, f.denominator
-    text = _int_text(num) if den == 1 else f"{_int_text(num)}/{_denominator_text(den)}"
+    text = _int_text(num) if den == 1 else f"{_int_text(num)}/{_int_text(den)}"
     try:
         value = num / den
     except OverflowError:  # JSON null past the float range
         value = None
-    return {"fraction": text, "value": value,
-            "display": _sig6(value, lambda: Fraction(num, den))}
+    return {"fraction": text, "value": value, "display": _sig6(value, lambda: f)}
 
 
 def float_json(x: float | None) -> dict | None:

@@ -23,11 +23,12 @@ from __future__ import annotations
 import csv
 import json
 import math
-import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
 from typing import Sequence
+
+from .exact import _as_int, _as_rate
 
 BLOCK_TRIALS = 1 << 16
 
@@ -39,17 +40,6 @@ def _block_generator(seed: int, block: int):
     import numpy as np
     key = np.array([seed, block], dtype=np.uint64)
     return np.random.Generator(np.random.Philox(key=key))
-
-
-def _as_int(value, field: str) -> int:
-    """``value`` as an ``int``; a boolean or non-integer raises ``ValueError``
-    naming ``field`` instead of being truncated by numpy."""
-    if not isinstance(value, bool):
-        try:
-            return operator.index(value)
-        except TypeError:
-            pass
-    raise ValueError(f"{field} must be an integer, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -74,13 +64,11 @@ class SimulationSpec:
             raise ValueError(f"trials must be >= 1, got {self.trials}")
         if self.draws < 0:
             raise ValueError(f"draws must be >= 0, got {self.draws}")
+        if self.rate is not None:
+            object.__setattr__(self, "rate", _as_rate(self.rate))
         if self.model == "binomial":
             if self.rate is None:
                 raise ValueError("binomial model needs a rate")
-            rate = Fraction(self.rate)
-            if not 0 <= rate <= 1:
-                raise ValueError(f"rate {rate} outside [0, 1]")
-            object.__setattr__(self, "rate", rate)
         elif self.model == "hypergeometric":
             if self.population is None or self.successes is None:
                 raise ValueError("hypergeometric model needs population and successes")
@@ -107,14 +95,19 @@ class SimulationSpec:
 
     @classmethod
     def from_json(cls, text: str) -> "SimulationSpec":
-        doc = json.loads(text)
-        rate = doc.get("rate")
-        return cls(
-            model=doc["model"],
-            trials=doc["trials"],
-            seed=doc["seed"],
-            draws=doc["draws"],
-            rate=None if rate is None else Fraction(rate),
+        """The spec in ``text``; any text that is not one raises ``ValueError``."""
+        try:
+            doc = json.loads(text)
+        except RecursionError:
+            raise ValueError("simulation spec is nested too deeply") from None
+        if not isinstance(doc, dict):
+            raise ValueError(f"a simulation spec is a JSON object, got {type(doc).__name__}")
+        return cls(   # a missing field is None, which validation refuses by name
+            model=doc.get("model"),
+            trials=doc.get("trials"),
+            seed=doc.get("seed"),
+            draws=doc.get("draws"),
+            rate=doc.get("rate"),
             population=doc.get("population"),
             successes=doc.get("successes"),
         )
@@ -144,6 +137,7 @@ def _simulate(draw, k: int, trials: int, seed: int) -> SimulationResult:
 
 def simulate_tail(spec: SimulationSpec, k: int) -> SimulationResult:
     """Estimate P(X >= k) under the spec's null model."""
+    k = _as_int(k, "threshold")
     if k < 0:
         raise ValueError(f"threshold {k} is negative")
     if spec.model == "binomial":
@@ -171,6 +165,7 @@ def simulate_heterogeneous(
     if not 0 <= suspect_index < len(rates):
         raise ValueError(f"suspect index {suspect_index} outside 0..{len(rates) - 1}")
     trials, seed = _as_int(trials, "trials"), _as_int(seed, "seed")
+    k = _as_int(k, "threshold")
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
     if any(not 0 <= Fraction(r) <= 1 for r in rates):

@@ -12,7 +12,7 @@ are sized in device pixels and mapped back through the axis scales.
 from __future__ import annotations
 
 import math
-from xml.sax.saxutils import escape
+from html import escape
 
 from .association import FigureModel
 
@@ -85,7 +85,7 @@ def render_determinant_svg(fig: FigureModel, caption: tuple[str, ...] = ()) -> s
         )
         offsets = [-16 * (len(caption) - 1 - i) - 10 for i in range(len(caption))]
         for text, dy in zip(caption, offsets):
-            lines.append(f'<tspan x="-8" y="{dy}">{escape(text)}</tspan>')
+            lines.append(f'<tspan x="-8" y="{dy}">{escape(text, quote=False)}</tspan>')
         lines.append("</text>")
     lines.append("</svg>")
     return "\n".join(lines) + "\n"

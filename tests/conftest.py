@@ -10,6 +10,14 @@ def rel_close(got, expected, tol=1e-4):
     return abs(float(got) - expected) <= tol * abs(expected)
 
 
+#: Any JSON value: scalars, and lists and objects of them.
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=4), inner,
+                                                                 max_size=4),
+    max_leaves=12,
+)
+
 cell_counts = st.integers(min_value=0, max_value=60)
 
 tables = st.builds(Table2x2, cell_counts, cell_counts, cell_counts, cell_counts)

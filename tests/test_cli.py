@@ -374,6 +374,15 @@ class TestEntryPoint:
         proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
         assert (proc.returncode, proc.stdout) == (0, "False\n")
 
+    def test_cli_import_loads_no_network_or_mail_modules(self):
+        # xml.sax.saxutils, once used for SVG escaping, pulls in all four
+        code = ("import sys\n"
+                "import tabaudit.cli\n"
+                "print([m for m in ('urllib.request', 'http.client', 'ssl', 'email')"
+                " if m in sys.modules])")
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+        assert (proc.returncode, proc.stdout) == (0, "[]\n")
+
     def test_module_invocation_error_code(self):
         proc = subprocess.run(
             [sys.executable, "-m", "tabaudit", "analyze", "--dataset", "bogus"],

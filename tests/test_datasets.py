@@ -8,17 +8,9 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from conftest import stratified_tables
+from conftest import json_values, stratified_tables
 from tabaudit import datasets
 from tabaudit.tables import TableValidationError, collapse
-
-
-json_values = st.recursive(
-    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4),
-    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=4), inner,
-                                                                 max_size=4),
-    max_leaves=12,
-)
 
 
 @st.composite

@@ -188,6 +188,23 @@ class TestBinomial:
         with pytest.raises(ValueError):
             BinomialParams(5, Fraction(3, 2))
 
+    def test_boolean_rate_and_draws_rejected(self):
+        # Fraction(True) is 1: a boolean would pass as a certain rate
+        with pytest.raises(ValueError, match="rate must be a rational number, got True"):
+            BinomialParams(5, True)
+        for rate in ([1], "x", float("nan"), float("inf")):
+            with pytest.raises(ValueError, match="rate must be a rational number"):
+                BinomialParams(5, rate)
+        with pytest.raises(ValueError, match="draws must be an integer, got True"):
+            BinomialParams(True, Fraction(1, 2))
+
+    @pytest.mark.parametrize("k", [True, 2.5, "3"])
+    def test_tail_thresholds_must_be_integers(self, k):
+        with pytest.raises(ValueError, match=f"k must be an integer, got {k!r}"):
+            binomial_upper_tail(BinomialParams(5, Fraction(1, 2)), k)
+        with pytest.raises(ValueError, match=f"k must be an integer, got {k!r}"):
+            hypergeom_upper_tail(10, 5, 5, k)
+
     def test_published_tails(self):
         original = BinomialParams(201, Fraction(13, 1533))
         assert rel_close(binomial_upper_tail(original, 14), 2.86883e-9)
@@ -243,6 +260,17 @@ class TestTailTable:
     def test_bad_range(self):
         with pytest.raises(SupportError):
             tail_table(BinomialParams(5, Fraction(1, 2)), 4, 8)
+
+    @pytest.mark.parametrize("k_min, k_max, field", [(True, 3, "k_min"), (0, 2.5, "k_max"),
+                                                     (1.0, 3, "k_min"), (0, False, "k_max")])
+    def test_range_must_be_integers(self, k_min, k_max, field):
+        with pytest.raises(ValueError, match=f"{field} must be an integer"):
+            tail_table(BinomialParams(5, Fraction(1, 2)), k_min, k_max)
+
+    def test_texts_need_params(self):
+        table = TailTable((TailRow(0, 1, 4, 0.25),), scale=8)
+        with pytest.raises(ValueError, match="row texts need the params"):
+            table.texts
 
     def test_row_outside_unit_interval_rejected(self):
         for numerator in (5, -1):
@@ -407,9 +435,30 @@ class TestTailRowsOverOneScale:
             return math.gcd(*args)
 
         monkeypatch.setattr(exact, "gcd", counting_gcd)
-        num, den = exact._lowest_terms(2 ** (n - 1), 2, 2**n)
-        assert (num, den) == (1, 2)
+        # the part divided out is 2**(n-1): one b = 2, with its exponent
+        assert exact._lowest_terms(2 ** (n - 1), 2, 2**n) == (1, 2, ((2, n - 1),))
         assert passes <= math.log2(n) + 3
+
+    @settings(max_examples=60, deadline=None)
+    @example(n=3, rate=Fraction(1, 6), data=None)
+    @example(n=101, rate=Fraction(1, 2), data=None)
+    @given(n=st.integers(min_value=0, max_value=400),
+           rate=st.sampled_from(SMALL_PRIME_RATES) | small_prime_rates() | rates,
+           data=st.data())
+    def test_texts_are_the_decimal_digits(self, n, rate, data):
+        # the decimal pass writes each row as str() of its reduced integers
+        if data is None:
+            k_min, k_max = 0, n + 1
+        else:
+            k_min = data.draw(st.integers(min_value=0, max_value=n + 1))
+            k_max = data.draw(st.integers(min_value=k_min, max_value=n + 1))
+        table = tail_table(BinomialParams(n, rate), k_min, k_max)
+        assert len(table.texts) == len(table.rows)
+        for row, text in zip(table.rows, table.texts):
+            want = (str(row.numerator) if row.denominator == 1
+                    else f"{row.numerator}/{row.denominator}")
+            assert text == want
+        assert table.texts is table.texts
 
     def test_exact_is_built_once(self):
         row = tail_table(BinomialParams(40, Fraction(7, 72)), 5, 5).rows[0]

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import functools
 import json
 import sys
 from fractions import Fraction
@@ -255,6 +256,23 @@ class TestExactJson:
         finally:
             sys.set_int_max_str_digits(limit)
         assert max(len(entry["fraction"]) for entry in doc["rows"]) > 2 * 4300
+
+    def test_sparse_whole_hospital_rows(self):
+        # 10 000 draws at 901/90 000: 127 rows of about 50 000 digits each
+        r = binomial_analysis(Table2x2(125, 9875, 901, 89099))
+        doc = binomial_json(r)
+        assert len(doc["rows"]) == len(r.tails.rows) == 127
+        text = functools.cache(str)   # str() is quadratic; many rows share a denominator
+        limit = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(0)
+        try:
+            for entry, row in zip(doc["rows"], r.tails.rows):
+                assert entry["threshold"] == row.threshold
+                assert entry["fraction"] == (text(row.numerator) if row.denominator == 1
+                                             else f"{text(row.numerator)}/{text(row.denominator)}")
+            assert len(str(r.tails.scale)) > 49_000
+        finally:
+            sys.set_int_max_str_digits(limit)
 
     def test_display_past_float_range(self):
         # 6 significant figures of the exact value, rounded half to even

@@ -7,7 +7,10 @@ import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
+from conftest import json_values
 from tabaudit.exact import BinomialParams, binomial_upper_tail, hypergeom_upper_tail
 from tabaudit.simulate import (
     LOG_HEADER,
@@ -26,6 +29,18 @@ def binomial_spec(trials=20000, seed=0):
 def hypergeom_spec(trials=20000, seed=0):
     return SimulationSpec(model="hypergeometric", trials=trials, seed=seed,
                           draws=58, population=339, successes=14)
+
+
+@st.composite
+def corrupted_specs(draw):
+    """A valid spec document with one field replaced by any JSON value or removed."""
+    doc = draw(st.sampled_from([binomial_spec(), hypergeom_spec()])).to_json_dict()
+    key = draw(st.sampled_from(sorted(doc)))
+    if draw(st.booleans()):
+        del doc[key]
+    else:
+        doc[key] = draw(json_values)
+    return doc
 
 
 def oracle_sigma(exact: float, trials: int) -> float:
@@ -115,6 +130,14 @@ class TestEdgeExactness:
     def test_threshold_zero_is_certain(self):
         assert simulate_tail(binomial_spec(trials=1000, seed=0), 0).estimate == 1.0
 
+    @pytest.mark.parametrize("k", [2.5, True, "3"])
+    def test_threshold_must_be_an_integer(self, k):
+        # numpy would compare counts against 2.5 and read True as 1
+        with pytest.raises(ValueError, match=f"threshold must be an integer, got {k!r}"):
+            simulate_tail(binomial_spec(trials=100), k)
+        with pytest.raises(ValueError, match=f"threshold must be an integer, got {k!r}"):
+            simulate_heterogeneous([Fraction(1, 2)], [10], 0, k, 100, seed=0)
+
 
 class TestHeterogeneous:
     RATES = [Fraction(13, 1533)] * 5
@@ -203,6 +226,39 @@ class TestSpecAndLog:
         assert value in text
         with pytest.raises(ValueError, match=f"{field} must be an integer"):
             SimulationSpec.from_json(text)
+
+    def test_spec_rejects_boolean_rate(self):
+        # Fraction(True) is 1: a boolean would pass as a certain rate
+        with pytest.raises(ValueError, match="rate must be a rational number, got True"):
+            SimulationSpec(model="binomial", trials=10, seed=0, draws=3, rate=True)
+        text = json.dumps({**binomial_spec().to_json_dict(), "rate": True})
+        with pytest.raises(ValueError, match="rate must be a rational number, got True"):
+            SimulationSpec.from_json(text)
+
+    @pytest.mark.parametrize("text, message", [
+        ("[]", "a simulation spec is a JSON object, got list"),
+        ('{"model": "binomial", "trials": 10, "seed": 0, "rate": "1/2"}',
+         "draws must be an integer, got None"),
+        ('{"model": "binomial", "trials": 10, "seed": 0, "draws": 3, "rate": [1]}',
+         "rate must be a rational number, got \\[1\\]"),
+        ('{"model": "binomial", "trials": 10, "seed": 0, "draws": 3, "rate": 1e400}',
+         "rate must be a rational number, got inf"),
+        ('{"model": "binomial", "trials": 10, "seed": 0, "draws": 3, "rate": "1/0"}',
+         "rate must be a rational number"),
+        ("[" * 100_000, "nested too deeply"),
+        ("{", "Expecting property name"),
+    ], ids=["list", "missing-key", "rate-list", "rate-inf", "rate-over-zero", "deep", "bad-json"])
+    def test_spec_json_errors_are_value_errors(self, text, message):
+        with pytest.raises(ValueError, match=message):
+            SimulationSpec.from_json(text)
+
+    @given(st.text() | json_values.map(json.dumps) | corrupted_specs().map(json.dumps))
+    def test_fuzz_spec_json_loads_or_raises_value_error(self, text):
+        try:
+            spec = SimulationSpec.from_json(text)
+        except ValueError:
+            return
+        assert SimulationSpec.from_json(json.dumps(spec.to_json_dict())) == spec
 
     def test_spec_rejects_populations_past_the_sampler(self):
         # numpy's hypergeometric sampler takes each class below 10**9
