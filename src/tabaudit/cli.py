@@ -4,18 +4,21 @@ Subcommands: analyze, fisher, binomial, simpson, replicate, simulate, svg,
 diff. Every subcommand supports ``--format text|json|csv``; output is
 byte-identical for identical invocations (the simulator is seeded). Exit
 codes: 0 success, 2 input error, 3 analysis/validation error, 4 replication
-mismatch.
+mismatch. The argument parser is built once per process and shared by every
+``main`` call; text output is rendered only for ``--format text``.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import sys
 from fractions import Fraction
 from pathlib import Path
+from typing import Callable
 
 from . import datasets, pipeline, references, simulate
 from .association import determinant_figure, nominal_correlation, odds_ratio, rate_table
@@ -102,7 +105,9 @@ def _flatten(doc, prefix: str = "", rows: list | None = None) -> list[tuple[str,
     return rows
 
 
-def _emit(args, text: str, doc: dict) -> None:
+def _emit(args, text: Callable[[], str], doc: dict) -> None:
+    """Write ``doc`` as JSON or CSV, or ``text()`` for the text format: only
+    that format calls it."""
     if args.format == "json":
         payload = json.dumps(doc, indent=2) + "\n"
     elif args.format == "csv":
@@ -112,7 +117,9 @@ def _emit(args, text: str, doc: dict) -> None:
         writer.writerows(_flatten(doc))
         payload = out.getvalue()
     else:
-        payload = text if text.endswith("\n") else text + "\n"
+        payload = text()
+        if not payload.endswith("\n"):
+            payload += "\n"
     if args.out:
         Path(args.out).write_text(payload)
     else:
@@ -139,17 +146,21 @@ def cmd_analyze(args) -> int:
         "rates": pipeline.rates_json(rates),
     }
 
-    rows = [[lab, sig6(r.value)] for lab, r in comp.stratum_values]
-    rows.append(["pooled", sig6(comp.pooled.value)])
-    if comp.flattened_ratio is not None:
-        rows.append(["flattened composite", sig6(comp.flattened_ratio)])
-    blocks = [f"dataset: {ds.name or '(unnamed)'}",
-              "Nominal correlation\n" + text_table(["stratum", "value"], rows)]
-    rows = [[lab, str(o)] for lab, o in odds] + [["pooled", str(pooled_odds)]]
-    blocks.append("Odds ratios\n" + text_table(["stratum", "odds ratio"], rows))
-    rows = [row[1:] for row in pipeline.rate_rows(rates)]
-    blocks.append("Incident rates per shift\n" + text_table(["stratum", "group", "rate"], rows))
-    _emit(args, "\n\n".join(blocks), doc)
+    def text():
+        rows = [[lab, sig6(r.value)] for lab, r in comp.stratum_values]
+        rows.append(["pooled", sig6(comp.pooled.value)])
+        if comp.flattened_ratio is not None:
+            rows.append(["flattened composite", sig6(comp.flattened_ratio)])
+        blocks = [f"dataset: {ds.name or '(unnamed)'}",
+                  "Nominal correlation\n" + text_table(["stratum", "value"], rows)]
+        rows = [[lab, str(o)] for lab, o in odds] + [["pooled", str(pooled_odds)]]
+        blocks.append("Odds ratios\n" + text_table(["stratum", "odds ratio"], rows))
+        rows = [row[1:] for row in pipeline.rate_rows(rates)]
+        blocks.append("Incident rates per shift\n"
+                      + text_table(["stratum", "group", "rate"], rows))
+        return "\n\n".join(blocks)
+
+    _emit(args, text, doc)
     return 0
 
 
@@ -158,15 +169,17 @@ def cmd_fisher(args) -> int:
     nurses = args.nurses if args.nurses is not None else datasets.n_nurses_for(ds.name)
     result = pipeline.fisher_pipeline(ds, nurses, args.mode)
     doc = {"dataset": ds.name, **pipeline.fisher_json(result)}
-    rows = [[lab, sig6(tail)] for lab, tail in result.stratum_tails]
-    text = (
-        f"dataset: {ds.name or '(unnamed)'} (mode {result.mode}, nurses {result.n_nurses})\n"
-        + "Exact upper tails\n" + text_table(["stratum", "P(X >= a)"], rows)
-        + f"\n\nproduct {sig6(result.product)}"
-        + f"\ncorrected (x {result.n_nurses}) {sig6(result.corrected)}"
-        + (" [exceeds 1]" if result.exceeds_one else "")
-        + f"\none in N: {sig6(result.one_in_n)}"
-    )
+    def text():
+        rows = [[lab, sig6(tail)] for lab, tail in result.stratum_tails]
+        return (
+            f"dataset: {ds.name or '(unnamed)'} (mode {result.mode}, nurses {result.n_nurses})\n"
+            + "Exact upper tails\n" + text_table(["stratum", "P(X >= a)"], rows)
+            + f"\n\nproduct {sig6(result.product)}"
+            + f"\ncorrected (x {result.n_nurses}) {sig6(result.corrected)}"
+            + (" [exceeds 1]" if result.exceeds_one else "")
+            + f"\none in N: {sig6(result.one_in_n)}"
+        )
+
     _emit(args, text, doc)
     return 0
 
@@ -179,15 +192,17 @@ def cmd_binomial(args) -> int:
     k_range = None if args.k_min is None else (args.k_min, args.k_max)
     result = pipeline.binomial_analysis(table, k_range=k_range, tau=Fraction(str(args.tau)))
     doc = {"dataset": ds.name, "table": label, **pipeline.binomial_json(result)}
-    one_in = sig6(result.one_in_n) if result.one_in_n is not None else "infinite"
-    text = (
-        f"dataset: {ds.name or '(unnamed)'} ({label}); draws {result.draws}, "
-        f"null rate {result.null_rate} = {sig6(result.null_rate)}\n"
-        + text_table(["cases", "P(X >= k)"], pipeline.tail_rows(result.tails))
-        + f"\n\nobserved {result.k_obs}: tail {sig6(result.tail_at_k_obs)}, one in {one_in}"
-        + f"\nexpected count {sig6(result.expected)}; first tail < {result.tau}: "
-        + (str(result.k_star) if result.k_star is not None else "none in range")
-    )
+    def text():
+        one_in = sig6(result.one_in_n) if result.one_in_n is not None else "infinite"
+        return (
+            f"dataset: {ds.name or '(unnamed)'} ({label}); draws {result.draws}, "
+            f"null rate {result.null_rate} = {sig6(result.null_rate)}\n"
+            + text_table(["cases", "P(X >= k)"], pipeline.tail_rows(result.tails))
+            + f"\n\nobserved {result.k_obs}: tail {sig6(result.tail_at_k_obs)}, one in {one_in}"
+            + f"\nexpected count {sig6(result.expected)}; first tail < {result.tau}: "
+            + (str(result.k_star) if result.k_star is not None else "none in range")
+        )
+
     _emit(args, text, doc)
     return 0
 
@@ -196,14 +211,16 @@ def cmd_simpson(args) -> int:
     ds = _resolve_source(args)
     verdict = simpson_check(ds)
     doc = {"dataset": ds.name, **pipeline.simpson_json(verdict)}
-    odds = (*verdict.stratum_odds, ("pooled", verdict.pooled_odds))
-    rows = [[lab, str(o), o.versus_one()] for lab, o in odds]
-    text = (
-        f"dataset: {ds.name or '(unnamed)'}\n"
-        + text_table(["stratum", "odds ratio", "side"], rows)
-        + f"\n\nparadox: {str(verdict.paradox).lower()}"
-        + (f" ({verdict.note})" if verdict.note else "")
-    )
+    def text():
+        odds = (*verdict.stratum_odds, ("pooled", verdict.pooled_odds))
+        rows = [[lab, str(o), o.versus_one()] for lab, o in odds]
+        return (
+            f"dataset: {ds.name or '(unnamed)'}\n"
+            + text_table(["stratum", "odds ratio", "side"], rows)
+            + f"\n\nparadox: {str(verdict.paradox).lower()}"
+            + (f" ({verdict.note})" if verdict.note else "")
+        )
+
     _emit(args, text, doc)
     return 0
 
@@ -224,8 +241,7 @@ def cmd_replicate(args) -> int:
 
     summary = ("all replication checks passed"
                if not failures else "REPLICATION MISMATCH:\n  " + "\n  ".join(failures))
-    text = report.to_text() + "\n" + summary
-    _emit(args, text, doc)
+    _emit(args, lambda: report.to_text() + "\n" + summary, doc)
     if failures:
         print(f"error: {len(failures)} replication check(s) failed", file=sys.stderr)
         return 4
@@ -261,14 +277,13 @@ def cmd_simulate(args) -> int:
         "interval": list(result.interval), "hits": result.hits,
         "exact": exact_json(exact),
     }
-    text = (
+    _emit(args, lambda: (
         f"dataset: {ds.name or '(unnamed)'} ({label}); model {spec.model}, "
         f"trials {spec.trials}, seed {spec.seed}\n"
         f"P(X >= {k}) estimate {sig6(result.estimate)} (stderr {sig6(result.stderr)})\n"
         f"3-sigma interval [{sig6(result.interval[0])}, {sig6(result.interval[1])}]\n"
         f"exact {sig6(exact)}"
-    )
-    _emit(args, text, doc)
+    ), doc)
     return 0
 
 
@@ -286,7 +301,7 @@ def cmd_svg(args) -> int:
         "caption": list(caption),
         "svg": svg,
     }
-    _emit(args, svg, doc)
+    _emit(args, lambda: svg, doc)
     return 0
 
 
@@ -320,25 +335,30 @@ def cmd_diff(args) -> int:
         "other_incident_delta": delta.other_incident_delta,
         "total_delta": delta.total_delta,
     }
-    rows = [
-        [d.label, str(d.cells[0][0]), str(d.cells[0][1]), str(d.cells[1][0]),
-         str(d.cells[1][1]), str(d.total)]
-        for d in delta.strata
-    ]
-    text = (
-        f"diff: {first.name or args.first} -> {second.name or args.second}\n"
-        + text_table(["stratum", "da", "db", "dc", "dd", "dtotal"], rows)
-        + f"\n\nsuspect incident delta {delta.suspect_incident_delta}; "
-        f"other incident delta {delta.other_incident_delta}; "
-        f"grand total delta {delta.total_delta}"
-    )
+    def text():
+        rows = [
+            [d.label, str(d.cells[0][0]), str(d.cells[0][1]), str(d.cells[1][0]),
+             str(d.cells[1][1]), str(d.total)]
+            for d in delta.strata
+        ]
+        return (
+            f"diff: {first.name or args.first} -> {second.name or args.second}\n"
+            + text_table(["stratum", "da", "db", "dc", "dd", "dtotal"], rows)
+            + f"\n\nsuspect incident delta {delta.suspect_incident_delta}; "
+            f"other incident delta {delta.other_incident_delta}; "
+            f"grand total delta {delta.total_delta}"
+        )
+
     _emit(args, text, doc)
     return 0
 
 
 # ---------------------------------------------------------------------------
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built on the first call and shared after it:
+    ``parse_args`` returns a new namespace each time and leaves it unchanged."""
     parser = argparse.ArgumentParser(
         prog=PROG,
         description="Exact inference and confounding audits on stratified 2x2 tables.",

@@ -88,19 +88,41 @@ def _as_int(value, field: str) -> int:
     raise ValueError(f"{field} must be an integer, got {value!r}")
 
 
+def _as_number(value, field: str) -> Fraction:
+    """``value`` as an exact rational; a boolean or a non-number raises
+    ``ValueError`` naming ``field``."""
+    if not isinstance(value, bool):
+        try:
+            return Fraction(value)
+        except (TypeError, ValueError, OverflowError, ZeroDivisionError):
+            pass
+    raise ValueError(f"{field} must be a rational number, got {value!r}")
+
+
+def _outside_unit(value) -> bool:
+    """Whether ``value`` is a string that ``Decimal`` reads as a number outside
+    [0, 1]. ``Decimal`` keeps the exponent of "1e100000000", which ``Fraction``
+    writes out digit by digit, so this takes time linear in the text and runs
+    before ``Fraction`` sees it. Text ``Decimal`` cannot read, such as "1/3",
+    is left to ``Fraction``."""
+    if not isinstance(value, str):
+        return False
+    try:
+        d = Decimal(value)
+    except InvalidOperation:
+        return False
+    return d.is_finite() and not 0 <= d <= 1
+
+
 def _as_rate(value) -> Fraction:
     """``value`` as an exact probability; a boolean, a non-number or a value
     outside [0, 1] raises ``ValueError``."""
-    if not isinstance(value, bool):
-        try:
-            rate = Fraction(value)
-        except (TypeError, ValueError, OverflowError, ZeroDivisionError):
-            pass
-        else:
-            if not 0 <= rate <= 1:
-                raise ValueError(f"rate {rate} outside [0, 1]")
-            return rate
-    raise ValueError(f"rate must be a rational number, got {value!r}")
+    if _outside_unit(value):
+        raise ValueError(f"rate {value} outside [0, 1]")
+    rate = _as_number(value, "rate")
+    if not 0 <= rate <= 1:
+        raise ValueError(f"rate {rate} outside [0, 1]")
+    return rate
 
 
 @dataclass(frozen=True)

@@ -23,7 +23,7 @@ from . import datasets
 from .association import RateTable, rate_table
 from .confounding import CollapseComparison, SimpsonVerdict, collapse_comparison, simpson_check
 from .exact import BinomialParams, TailTable, binomial_upper_tail, fisher_upper_tail, tail_table
-from .render import exact_json, float_json, row_sig6, sig6, text_table
+from .render import exact_json, exact_json_with_text, float_json, row_sig6, sig6, text_table
 from .tables import StratifiedTable, Table2x2, collapse
 
 POOLED_LABEL = "All"
@@ -302,6 +302,23 @@ def tail_rows(tails: TailTable) -> list[list[str]]:
     return [[f">= {row.threshold}", row_sig6(row)] for row in tails.rows]
 
 
+def _k_obs_json(r: BinomialAnalysisResult) -> dict:
+    """``tail_at_k_obs`` and ``one_in_n``. Where ``k_obs`` is in the table, both
+    are written from its row's text, which is in lowest terms, so the reciprocal
+    is the text with numerator and denominator swapped."""
+    i = r.k_obs - r.tails.rows[0].threshold
+    if not 0 <= i < len(r.tails.rows):
+        return {"tail_at_k_obs": exact_json(r.tail_at_k_obs), "one_in_n": exact_json(r.one_in_n)}
+    row, text = r.tails.rows[i], r.tails.texts[i]
+    if row.denominator == 1:   # the row is 0 or 1
+        inverse = None if row.numerator == 0 else text
+    else:
+        num, den = text.split("/")
+        inverse = den if row.numerator == 1 else f"{den}/{num}"
+    return {"tail_at_k_obs": exact_json_with_text(r.tail_at_k_obs, text),
+            "one_in_n": None if inverse is None else exact_json_with_text(r.one_in_n, inverse)}
+
+
 def binomial_json(r: BinomialAnalysisResult) -> dict:
     return {
         "draws": r.draws,
@@ -310,8 +327,7 @@ def binomial_json(r: BinomialAnalysisResult) -> dict:
         "k_obs": r.k_obs,
         "rows": [{"threshold": row.threshold, "fraction": text, "value": row.value,
                   "display": row_sig6(row)} for row, text in zip(r.tails.rows, r.tails.texts)],
-        "tail_at_k_obs": exact_json(r.tail_at_k_obs),
-        "one_in_n": exact_json(r.one_in_n),
+        **_k_obs_json(r),
         "expected": exact_json(r.expected),
         "tau": str(r.tau),
         "k_star": r.k_star,

@@ -80,9 +80,14 @@ def exact_json(f: Fraction | None) -> dict | None:
     if f is None:
         return None
     num, den = f.numerator, f.denominator
-    text = _int_text(num) if den == 1 else f"{_int_text(num)}/{_int_text(den)}"
+    return exact_json_with_text(
+        f, _int_text(num) if den == 1 else f"{_int_text(num)}/{_int_text(den)}")
+
+
+def exact_json_with_text(f: Fraction, text: str) -> dict:
+    """:func:`exact_json` of ``f``, whose fraction text ``text`` is already written."""
     try:
-        value = num / den
+        value = f.numerator / f.denominator
     except OverflowError:  # JSON null past the float range
         value = None
     return {"fraction": text, "value": value, "display": _sig6(value, lambda: f)}

@@ -28,7 +28,7 @@ from fractions import Fraction
 from pathlib import Path
 from typing import Sequence
 
-from .exact import _as_int, _as_rate
+from .exact import _as_int, _as_number, _as_rate, _outside_unit
 
 BLOCK_TRIALS = 1 << 16
 
@@ -168,7 +168,8 @@ def simulate_heterogeneous(
     k = _as_int(k, "threshold")
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
-    if any(not 0 <= Fraction(r) <= 1 for r in rates):
+    if any(_outside_unit(r) or not 0 <= _as_number(r, f"rates[{i}]") <= 1
+           for i, r in enumerate(rates)):
         raise ValueError("rates must lie in [0, 1]")
     shifts = [_as_int(n, f"shifts[{i}]") for i, n in enumerate(shifts)]
     if any(n < 0 for n in shifts):

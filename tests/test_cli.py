@@ -9,8 +9,8 @@ import sys
 
 import pytest
 
-from tabaudit import datasets
-from tabaudit.cli import main
+from tabaudit import datasets, pipeline
+from tabaudit.cli import build_parser, main
 from tabaudit.tables import StratifiedTable, Table2x2
 
 
@@ -234,6 +234,14 @@ class TestReplicate:
         _, second, _ = run_cli(capsys, "replicate", "--format", "json")
         assert first == second
 
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    def test_text_report_built_only_for_text(self, capsys, monkeypatch, fmt):
+        def refuse(report):
+            raise AssertionError("text report built for --format " + fmt)
+        monkeypatch.setattr(pipeline, "report_text", refuse)
+        code, out, _ = run_cli(capsys, "replicate", "--format", fmt)
+        assert code == 0 and out
+
 
 class TestSimulate:
     def test_smoke_with_log(self, capsys, tmp_path):
@@ -382,6 +390,24 @@ class TestEntryPoint:
                 " if m in sys.modules])")
         proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
         assert (proc.returncode, proc.stdout) == (0, "[]\n")
+
+    def test_parser_built_once(self):
+        assert build_parser() is build_parser()
+
+    @pytest.mark.parametrize("first, second", [
+        ("fisher --dataset original --mode collapsed", "fisher --dataset original"),
+        ("binomial --dataset derksen --k-min 3 --k-max 5", "binomial --dataset derksen"),
+        ("simulate --dataset shops --trials 5000 --seed 5",
+         "simulate --dataset shops --trials 5000"),
+    ])
+    def test_shared_parser_keeps_no_state_between_calls(self, capsys, first, second):
+        # the second call relies on the defaults the first one overrode
+        for argv in (first, second):
+            code, out, _ = run_cli(capsys, *argv.split())
+            proc = subprocess.run([sys.executable, "-m", "tabaudit", *argv.split()],
+                                  capture_output=True, text=True)
+            assert code == proc.returncode == 0
+            assert out == proc.stdout
 
     def test_module_invocation_error_code(self):
         proc = subprocess.run(

@@ -198,6 +198,14 @@ class TestBinomial:
         with pytest.raises(ValueError, match="draws must be an integer, got True"):
             BinomialParams(True, Fraction(1, 2))
 
+    def test_rate_text_outside_unit_refused_before_expansion(self):
+        # Fraction("1e100000000") would write out 10**100000000 before the range check
+        for text in ("1e100000000", "-1e100000000", "1.5", "-0.0001e-3"):
+            with pytest.raises(ValueError, match=rf"rate {text} outside \[0, 1\]"):
+                BinomialParams(5, text)
+        for text, rate in (("1/3", Fraction(1, 3)), ("2.5e-1", Fraction(1, 4)), ("1", 1)):
+            assert BinomialParams(5, text).rate == rate
+
     @pytest.mark.parametrize("k", [True, 2.5, "3"])
     def test_tail_thresholds_must_be_integers(self, k):
         with pytest.raises(ValueError, match=f"k must be an integer, got {k!r}"):

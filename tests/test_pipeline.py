@@ -271,8 +271,25 @@ class TestExactJson:
                 assert entry["fraction"] == (text(row.numerator) if row.denominator == 1
                                              else f"{text(row.numerator)}/{text(row.denominator)}")
             assert len(str(r.tails.scale)) > 49_000
+            for key, exact in (("tail_at_k_obs", r.tail_at_k_obs), ("one_in_n", r.one_in_n)):
+                assert doc[key]["fraction"] == str(exact)
+                assert doc[key]["value"] == float(exact)
         finally:
             sys.set_int_max_str_digits(limit)
+
+    @pytest.mark.parametrize("t, k_range", [
+        (Table2x2(0, 9, 0, 11), None),          # the row is 1
+        (Table2x2(2, 3, 0, 10), None),          # the row is 0: one in N is null
+        (Table2x2(3, 0, 1, 1), None),           # 1/8: one in N is the whole number 8
+        (Table2x2(400, 0, 1, 99), None),        # 1/10**800: one in N past the float range
+        (Table2x2(14, 187, 13, 1520), None),
+        (Table2x2(14, 187, 13, 1520), (15, 20)),  # k_obs below the table
+    ])
+    def test_k_obs_entries_equal_exact_json(self, t, k_range):
+        r = binomial_analysis(t, k_range=k_range)
+        doc = binomial_json(r)
+        assert doc["tail_at_k_obs"] == exact_json(r.tail_at_k_obs)
+        assert doc["one_in_n"] == exact_json(r.one_in_n)
 
     def test_display_past_float_range(self):
         # 6 significant figures of the exact value, rounded half to even

@@ -169,6 +169,17 @@ class TestHeterogeneous:
             with pytest.raises(ValueError, match="rates must lie in"):
                 simulate_heterogeneous([Fraction(1, 2), rate], [10, 10], 1, 1, 100, seed=0)
 
+    def test_rates_must_be_numbers(self):
+        # Fraction(True) is 1: a boolean would run the suspect at a certain rate
+        for rates, field in (([True, Fraction(1, 2)], r"rates\[0\] .* got True"),
+                             ([Fraction(1, 2), "x"], r"rates\[1\]"),
+                             ([Fraction(1, 2), None], r"rates\[1\]")):
+            with pytest.raises(ValueError, match=f"{field}"):
+                simulate_heterogeneous(rates, [10, 10], 0, 1, 100, seed=0)
+        # refused from the text, before Fraction writes out 10**100000000
+        with pytest.raises(ValueError, match="rates must lie in"):
+            simulate_heterogeneous([Fraction(1, 2), "1e100000000"], [10, 10], 0, 1, 100, seed=0)
+
     def test_length_mismatch(self):
         with pytest.raises(ValueError, match="rates but"):
             simulate_heterogeneous([Fraction(1, 2)], [10, 20], 0, 1, 100, seed=0)
@@ -245,9 +256,12 @@ class TestSpecAndLog:
          "rate must be a rational number, got inf"),
         ('{"model": "binomial", "trials": 10, "seed": 0, "draws": 3, "rate": "1/0"}',
          "rate must be a rational number"),
+        ('{"model": "binomial", "trials": 10, "seed": 0, "draws": 3, "rate": "-1e100000000"}',
+         r"rate -1e100000000 outside \[0, 1\]"),
         ("[" * 100_000, "nested too deeply"),
         ("{", "Expecting property name"),
-    ], ids=["list", "missing-key", "rate-list", "rate-inf", "rate-over-zero", "deep", "bad-json"])
+    ], ids=["list", "missing-key", "rate-list", "rate-inf", "rate-over-zero", "rate-giant-text",
+            "deep", "bad-json"])
     def test_spec_json_errors_are_value_errors(self, text, message):
         with pytest.raises(ValueError, match=message):
             SimulationSpec.from_json(text)
