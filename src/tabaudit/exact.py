@@ -16,6 +16,18 @@ The one-sided Fisher statistic of a 2x2 table is the upper tail
 P(X >= a) of that distribution with population = total, draws = row 1 sum,
 successes = column 1 sum. No two-sided variant is provided.
 
+The law is symmetric in its two margins: drawing r of N shifts of which K
+are incidents gives the same distribution of x as drawing K of N shifts of
+which r are marked, because::
+
+    C(K, x) C(N-K, r-x) / C(N, r) = C(r, x) C(N-r, K-x) / C(N, K)
+
+So the kernels draw whichever margin m has the smaller min(m, N - m), the
+size ``math.comb`` works with, and every ``comb`` call takes at most that
+many factors. On the sparse tables of the paper's data, few incidents spread
+over many shifts, this is the incident count: C(1734, 27) in place of
+C(1734, 201). The result is the identical ``Fraction``.
+
 Each tail is summed in integers and reduced to lowest terms once, not once
 per term. Consecutive hypergeometric terms have the ratio::
 
@@ -62,6 +74,8 @@ CSV output and threshold searches never pay for it.
 from __future__ import annotations
 
 import operator
+import re
+import sys
 from dataclasses import dataclass
 from decimal import (MAX_EMAX, MAX_PREC, MIN_EMIN, Context, Decimal, DivisionByZero, Inexact,
                      InvalidOperation, Overflow, Rounded, localcontext)
@@ -88,9 +102,31 @@ def _as_int(value, field: str) -> int:
     raise ValueError(f"{field} must be an integer, got {value!r}")
 
 
+def _refuse_long_exponent(value, field: str) -> None:
+    """Raise ``ValueError`` naming ``field`` if ``value`` is text that ``Fraction``
+    would expand into an integer longer than ``sys.get_int_max_str_digits()``
+    digits, or text with an exponent too long for ``Decimal`` to read (beyond
+    about 1e18). ``Fraction("1e-100000000")`` builds 10**100000000 before any
+    range check runs; ``Decimal`` keeps the exponent, so this check takes time
+    linear in the text. The limit is the interpreter's own limit on reading an
+    ``int`` from text, which already refuses a number written out that long."""
+    if not isinstance(value, str):
+        return
+    try:
+        exponent = Decimal(value).as_tuple().exponent
+    except InvalidOperation:
+        if re.search(r"[eE][-+]?[0-9]", value):
+            raise ValueError(f"{field} {value!r} has an exponent too large to read") from None
+        return
+    limit = sys.get_int_max_str_digits()
+    if isinstance(exponent, int) and limit and abs(exponent) > limit:   # not inf or nan
+        raise ValueError(f"{field} {value!r} spans more than {limit} digits")
+
+
 def _as_number(value, field: str) -> Fraction:
-    """``value`` as an exact rational; a boolean or a non-number raises
-    ``ValueError`` naming ``field``."""
+    """``value`` as an exact rational; a boolean, a non-number or text past the
+    interpreter's digit limit raises ``ValueError`` naming ``field``."""
+    _refuse_long_exponent(value, field)
     if not isinstance(value, bool):
         try:
             return Fraction(value)
@@ -135,6 +171,8 @@ class HypergeomParams:
     observed: int       # incidents on the suspect's shifts
 
     def __post_init__(self):
+        for field in ("population", "draws", "successes", "observed"):
+            object.__setattr__(self, field, _as_int(getattr(self, field), field))
         n, r, k, x = self.population, self.draws, self.successes, self.observed
         if n < 0:
             raise ValueError(f"population {n} is negative")
@@ -157,9 +195,18 @@ def _hyper_count(population: int, draws: int, successes: int, x: int) -> int:
     return comb(successes, x) * comb(population - successes, draws - x)
 
 
+def _drawn_first(population: int, draws: int, successes: int) -> tuple[int, int]:
+    """``(draws, successes)``, swapped if ``successes`` is the margin m with the
+    smaller min(m, population - m): the law is symmetric in the two margins."""
+    if min(successes, population - successes) < min(draws, population - draws):
+        return successes, draws
+    return draws, successes
+
+
 def hypergeom_pmf(params: HypergeomParams) -> Fraction:
     """Exact probability of the observed outcome."""
-    n, r, k = params.population, params.draws, params.successes
+    n = params.population
+    r, k = _drawn_first(n, params.draws, params.successes)
     return Fraction(_hyper_count(n, r, k, params.observed), comb(n, r))
 
 
@@ -177,11 +224,13 @@ def _ratio_sum(ratios) -> tuple[int, int]:
 
 def hypergeom_upper_tail(population: int, draws: int, successes: int, k: int) -> Fraction:
     """P(X >= k) for the hypergeometric; 1 below the support, 0 above it."""
-    k = _as_int(k, "k")
+    population, k = _as_int(population, "population"), _as_int(k, "k")
+    draws, successes = _as_int(draws, "draws"), _as_int(successes, "successes")
     if not 0 <= draws <= population:
         raise ValueError(f"draws {draws} outside [0, {population}]")
     if not 0 <= successes <= population:
         raise ValueError(f"successes {successes} outside [0, {population}]")
+    draws, successes = _drawn_first(population, draws, successes)
     lo, hi = max(0, draws + successes - population), min(draws, successes)
     if k <= lo:
         return Fraction(1)

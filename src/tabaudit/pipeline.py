@@ -22,7 +22,8 @@ from typing import Mapping, Sequence
 from . import datasets
 from .association import RateTable, rate_table
 from .confounding import CollapseComparison, SimpsonVerdict, collapse_comparison, simpson_check
-from .exact import BinomialParams, TailTable, binomial_upper_tail, fisher_upper_tail, tail_table
+from .exact import (BinomialParams, TailTable, _as_int, _as_number, binomial_upper_tail,
+                    fisher_upper_tail, tail_table)
 from .render import exact_json, exact_json_with_text, float_json, row_sig6, sig6, text_table
 from .tables import StratifiedTable, Table2x2, collapse
 
@@ -56,6 +57,7 @@ class FisherPipelineResult:
 def fisher_pipeline(
     s: StratifiedTable, n_nurses: int = datasets.DEFAULT_N_NURSES, mode: str = "stratified"
 ) -> FisherPipelineResult:
+    n_nurses = _as_int(n_nurses, "n_nurses")
     if n_nurses < 1:
         raise ValueError(f"n_nurses must be >= 1, got {n_nurses}")
     if mode == "stratified":
@@ -109,7 +111,7 @@ def binomial_analysis(
     k_range: tuple[int, int] | None = None,
     tau: Fraction | float = Fraction(1, 20),
 ) -> BinomialAnalysisResult:
-    tau = Fraction(tau)
+    tau = _as_number(tau, "tau")
     if not 0 < tau <= 1:
         raise ValueError(f"tau {tau} outside (0, 1]")
     if t.row2 == 0:
@@ -194,7 +196,8 @@ def replicate(
             ) from None
 
     nurse_counts = {
-        name: (n_nurses[name] if n_nurses and name in n_nurses else datasets.n_nurses_for(name))
+        name: (_as_int(n_nurses[name], f"n_nurses[{name!r}]") if n_nurses and name in n_nurses
+               else datasets.n_nurses_for(name))
         for name in names
     }
     correlations: dict[str, CollapseComparison] = {}

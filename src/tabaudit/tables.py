@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import operator
 from dataclasses import dataclass
+from functools import cached_property
 from typing import NamedTuple, Sequence
 
 
@@ -165,14 +166,24 @@ class StratifiedTable:
         return StratifiedTable(tuple((lab, t.transpose()) for lab, t in self.strata),
                                name=self.name)
 
+    @cached_property
+    def _pooled(self) -> Table2x2:
+        """Cell-wise sum over all strata, built on the first read and kept."""
+        a = sum(t.a for t in self.tables)
+        b = sum(t.b for t in self.tables)
+        c = sum(t.c for t in self.tables)
+        d = sum(t.d for t in self.tables)
+        return Table2x2(a, b, c, d, row_labels=self.row_labels, col_labels=self.col_labels)
+
 
 def collapse(s: StratifiedTable) -> Table2x2:
-    """Cell-wise sum over all strata (pooling away the stratification)."""
-    a = sum(t.a for t in s.tables)
-    b = sum(t.b for t in s.tables)
-    c = sum(t.c for t in s.tables)
-    d = sum(t.d for t in s.tables)
-    return Table2x2(a, b, c, d, row_labels=s.row_labels, col_labels=s.col_labels)
+    """Cell-wise sum over all strata (pooling away the stratification).
+
+    The result is cached on the instance: every call on one table returns the
+    same ``Table2x2``, summed once. Both are immutable, so the cache cannot go
+    stale.
+    """
+    return s._pooled
 
 
 class StratumDelta(NamedTuple):

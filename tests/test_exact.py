@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import math
+import re
+import sys
 from fractions import Fraction
 from itertools import combinations
 from math import comb
@@ -57,6 +59,14 @@ class TestHypergeomPmf:
     def test_rkz2_upper_sum(self):
         total = sum(hypergeom_pmf(HypergeomParams(339, 58, 14, x)) for x in range(5, 15))
         assert rel_close(total, 0.0715592)
+
+    @pytest.mark.parametrize("field", ["population", "draws", "successes", "observed"])
+    @pytest.mark.parametrize("value", [True, 10.0, "3"])
+    def test_counts_must_be_integers(self, field, value):
+        # HypergeomParams(10.0, 3, 4, 1) used to pass and then fail inside comb
+        args = {"population": 10, "draws": 3, "successes": 4, "observed": 1, field: value}
+        with pytest.raises(ValueError, match=f"{field} must be an integer, got {value!r}"):
+            HypergeomParams(**args)
 
     def test_outside_support_is_an_error(self):
         with pytest.raises(SupportError):
@@ -142,6 +152,16 @@ class TestFisherUpperTail:
         assert hypergeom_upper_tail(500, 300, 300, 100) == 1
         assert hypergeom_upper_tail(500, 300, 300, 301) == 0
 
+    @pytest.mark.parametrize("field, value", [
+        ("population", True), ("population", 10.0), ("draws", 3.0), ("draws", True),
+        ("successes", "4"), ("successes", False),
+    ])
+    def test_counts_must_be_integers(self, field, value):
+        # hypergeom_upper_tail(True, 1, 1, 1) used to return 1
+        args = {"population": 10, "draws": 3, "successes": 4, field: value}
+        with pytest.raises(ValueError, match=f"{field} must be an integer, got {value!r}"):
+            hypergeom_upper_tail(k=1, **args)
+
     def test_whole_hospital_scale_against_scipy(self):
         # sparse incidence (1%) at N = 1e5, threshold ~2.5 sd above the mean
         population, draws, successes = 100_000, 10_000, 1_000
@@ -205,6 +225,30 @@ class TestBinomial:
                 BinomialParams(5, text)
         for text, rate in (("1/3", Fraction(1, 3)), ("2.5e-1", Fraction(1, 4)), ("1", 1)):
             assert BinomialParams(5, text).rate == rate
+
+    @pytest.mark.parametrize("text", ["1e-1000000", "1e-100000000", "0.5e-1000000000"])
+    def test_in_range_rate_text_with_a_long_exponent_refused(self, text):
+        # Fraction(text) writes out 10**1000000 (0.3 s) or 10**100000000 (minutes)
+        limit = sys.get_int_max_str_digits()
+        with pytest.raises(ValueError, match=rf"rate '{text}' spans more than {limit} digits"):
+            BinomialParams(5, text)
+
+    @pytest.mark.parametrize("text", ["1e-999999999999999999999", "1E+999999999999999999999",
+                                      "-2.5e-99999999999999999999999"])
+    def test_rate_text_with_an_unreadable_exponent_refused(self, text):
+        # Decimal cannot hold the exponent; Fraction would try to expand it
+        with pytest.raises(ValueError, match=re.escape(f"rate '{text}' has an exponent too large")):
+            BinomialParams(5, text)
+
+    def test_rate_text_exponent_limit_is_the_interpreters(self):
+        limit = sys.get_int_max_str_digits()
+        assert BinomialParams(1, f"1e-{limit}").rate == Fraction(1, 10**limit)
+        with pytest.raises(ValueError, match="spans more than"):
+            BinomialParams(1, f"1e-{limit + 1}")
+        # text Decimal cannot read and that has no exponent is left to Fraction
+        assert BinomialParams(1, "1/3").rate == Fraction(1, 3)
+        with pytest.raises(ValueError, match="rate must be a rational number, got 'one'"):
+            BinomialParams(1, "one")
 
     @pytest.mark.parametrize("k", [True, 2.5, "3"])
     def test_tail_thresholds_must_be_integers(self, k):
@@ -331,6 +375,57 @@ class TestAgainstCombOracle:
         population, draws, successes, k = data.draw(hypergeom_cases(side))
         assert (hypergeom_upper_tail(population, draws, successes, k)
                 == oracle.hypergeom_upper_tail(population, draws, successes, k))
+
+    @pytest.mark.parametrize("side", ["lower", "upper"])
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_hypergeom_tail_symmetric_in_the_margins(self, side, data):
+        # swapping draws and successes gives the identical Fraction on either side
+        population, draws, successes, k = data.draw(hypergeom_cases(side))
+        tail = hypergeom_upper_tail(population, draws, successes, k)
+        assert tail == hypergeom_upper_tail(population, successes, draws, k)
+        assert tail == oracle.hypergeom_upper_tail(population, draws, successes, k)
+
+    @pytest.mark.parametrize("table", [(21, 892, 69, 8057), (10, 450, 35, 4019),
+                                       (69, 80, 519, 831), (14, 187, 13, 1520)])
+    @pytest.mark.parametrize("side", ["lower", "upper"])
+    def test_hypergeom_tail_symmetric_on_paper_shaped_tables(self, table, side):
+        # sparse whole-hospital, sparse ward, dense ward and the pooled Lucia table;
+        # k just above the support's lower end sums the lower side, a or the
+        # midpoint, whichever is larger, the upper
+        a, b, c, d = table
+        population, draws, successes = a + b + c + d, a + b, a + c
+        lo, hi = max(0, draws + successes - population), min(draws, successes)
+        k = lo + 1 if side == "lower" else max(a, (lo + hi + 1) // 2)
+        assert (k - lo < hi - k) == (side == "lower")
+        tail = hypergeom_upper_tail(population, draws, successes, k)
+        assert tail == hypergeom_upper_tail(population, successes, draws, k)
+        assert tail == oracle.hypergeom_upper_tail(population, draws, successes, k)
+
+    @pytest.mark.parametrize("table", [(21, 892, 69, 8057), (10, 450, 35, 4019),
+                                       (14, 187, 13, 1520), (800, 60, 9000, 40)])
+    def test_comb_never_takes_more_than_the_smaller_margin(self, table, monkeypatch):
+        # the kernels draw the margin m with the smaller min(m, N - m); on a sparse
+        # table that is the incident count, so C(N, 90) replaces C(N, 913). The
+        # last table has 9800 incidents of 9900 shifts: C(9900, 9800) is C(9900, 100)
+        a, b, c, d = table
+        population, draws, successes = a + b + c + d, a + b, a + c
+        smaller = min(draws, population - draws, successes, population - successes)
+        calls = []
+
+        def counting_comb(n, k):
+            calls.append((n, k))
+            return comb(n, k)
+
+        monkeypatch.setattr(exact, "comb", counting_comb)
+        tail = hypergeom_upper_tail(population, draws, successes, a)
+        pmf = hypergeom_pmf(HypergeomParams(population, draws, successes, a))
+        monkeypatch.undo()
+        assert calls and max(min(k, n - k) for n, k in calls) <= smaller
+        if max(draws, successes) <= population // 2:   # sparse: the literal argument too
+            assert max(k for _, k in calls) <= smaller < max(draws, successes)
+        assert tail == oracle.hypergeom_upper_tail(population, draws, successes, a)
+        assert pmf == oracle.hypergeom_pmf(population, draws, successes, a)
 
     def test_hypergeom_every_threshold_small(self):
         for population in range(0, 13):

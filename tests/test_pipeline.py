@@ -86,6 +86,10 @@ class TestFisherPipeline:
     def test_bad_arguments(self):
         with pytest.raises(ValueError, match="n_nurses"):
             fisher_pipeline(ORIGINAL, 0)
+        # 2.5 gave a float ``corrected``; True ran with one nurse
+        for nurses in (2.5, True, "27"):
+            with pytest.raises(ValueError, match=f"n_nurses must be an integer, got {nurses!r}"):
+                fisher_pipeline(ORIGINAL, nurses)
         with pytest.raises(ValueError, match="mode"):
             fisher_pipeline(ORIGINAL, 27, "sideways")
 
@@ -151,6 +155,15 @@ class TestBinomialAnalysis:
                 binomial_analysis(t, tau=tau)
         assert binomial_analysis(t, tau=1).k_star == 1   # P(X >= 0) = 1 is not < 1
 
+    def test_tau_must_be_a_number(self):
+        t = Table2x2(14, 187, 13, 1520)
+        for tau in (True, None, "x"):   # True ran as tau = 1
+            with pytest.raises(ValueError, match=f"tau must be a rational number, got {tau!r}"):
+                binomial_analysis(t, tau=tau)
+        assert binomial_analysis(t, tau="1/20").tau == Fraction(1, 20)
+        with pytest.raises(ValueError, match="tau '1e-100000000' spans more than"):
+            binomial_analysis(t, tau="1e-100000000")   # refused before Fraction expands it
+
 
     @pytest.mark.parametrize("k_range", [None, (0, 3), (2, 14), (15, 20)])
     def test_tail_at_k_obs_in_and_out_of_range(self, k_range):
@@ -215,6 +228,33 @@ class TestReplicate:
         for token in ("0.158169", "0.0614621", "-0.125", "3.42638e+08", "141494",
                       "688.367", "1.64051", "86.9055", "3.48574e+08"):
             assert token in text
+
+    @pytest.mark.parametrize("nurses", [True, 2.5, "3"])
+    def test_nurse_override_must_be_an_integer(self, nurses):
+        # True was written into the JSON n_nurses as ``true``
+        with pytest.raises(ValueError,
+                           match=f"n_nurses\\['shops'\\] must be an integer, got {nurses!r}"):
+            replicate(["shops"], n_nurses={"shops": nurses})
+
+    def test_each_dataset_is_pooled_once(self, monkeypatch):
+        # the Simpson check, correlations, collapsed Fisher, binomial model and rate
+        # table all read one pooled table per dataset
+        registry = {name: StratifiedTable(ds.strata, name=ds.name)   # fresh, uncached
+                    for name, ds in datasets.EMBEDDED.items()}
+        pooled = StratifiedTable._pooled
+        pool, pools = pooled.func, []
+
+        def counting(s):
+            pools.append(s.name)
+            return pool(s)
+
+        monkeypatch.setattr(pooled, "func", counting)
+        report = replicate(registry=registry)
+        assert sorted(pools) == sorted(registry)
+        replicate(registry=registry)
+        assert sorted(pools) == sorted(registry)
+        monkeypatch.undo()
+        assert report.to_json_dict() == replicate().to_json_dict()
 
     def test_nurse_override_changes_one_in_n(self):
         report = replicate(("original",), n_nurses={"original": 1})

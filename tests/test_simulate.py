@@ -258,10 +258,17 @@ class TestSpecAndLog:
          "rate must be a rational number"),
         ('{"model": "binomial", "trials": 10, "seed": 0, "draws": 3, "rate": "-1e100000000"}',
          r"rate -1e100000000 outside \[0, 1\]"),
+        ('{"model": "binomial", "trials": 10, "seed": 0, "draws": 3, "rate": "1e-100000000"}',
+         "rate '1e-100000000' spans more than [0-9]+ digits"),
+        ('{"model": "binomial", "trials": 10, "seed": 0, "draws": 3, "rate": "1e-1000000"}',
+         "rate '1e-1000000' spans more than [0-9]+ digits"),
+        ('{"model": "binomial", "trials": 10, "seed": 0, "draws": 3,'
+         ' "rate": "1e-999999999999999999999"}',
+         "rate '1e-999999999999999999999' has an exponent too large to read"),
         ("[" * 100_000, "nested too deeply"),
         ("{", "Expecting property name"),
     ], ids=["list", "missing-key", "rate-list", "rate-inf", "rate-over-zero", "rate-giant-text",
-            "deep", "bad-json"])
+            "rate-tiny-text", "rate-small-text", "rate-unreadable-exponent", "deep", "bad-json"])
     def test_spec_json_errors_are_value_errors(self, text, message):
         with pytest.raises(ValueError, match=message):
             SimulationSpec.from_json(text)

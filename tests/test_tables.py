@@ -7,6 +7,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from conftest import stratified_tables, tables
+from tabaudit import datasets
 from tabaudit.tables import (
     StratifiedTable,
     Table2x2,
@@ -73,6 +74,26 @@ class TestCollapse:
     @given(stratified_tables())
     def test_total_is_sum_of_totals(self, s):
         assert margins(collapse(s)).total == sum(margins(t).total for t in s.tables)
+
+    @staticmethod
+    def cell_sum(s):
+        return Table2x2(*(sum(cell) for cell in zip(*((t.a, t.b, t.c, t.d) for t in s.tables))),
+                        row_labels=s.row_labels, col_labels=s.col_labels)
+
+    @pytest.mark.parametrize("name", sorted(datasets.EMBEDDED))
+    def test_cached_pool_equals_a_fresh_sum(self, name):
+        embedded = datasets.get(name)
+        loaded = datasets.from_json_dict(datasets.to_json_dict(embedded))
+        for s in (embedded, embedded.transpose(), loaded, loaded.transpose()):
+            assert collapse(s) == self.cell_sum(s)
+            assert collapse(s) is collapse(s)   # cached on the instance
+        assert collapse(embedded.transpose()) == collapse(embedded).transpose()
+
+    @given(stratified_tables())
+    def test_cached_pool_equals_a_fresh_sum_random(self, s):
+        first = collapse(s)
+        assert first == self.cell_sum(s) and collapse(s) is first
+        assert collapse(s.transpose()) == self.cell_sum(s.transpose()) == first.transpose()
 
     def test_labels_preserved(self):
         pooled = collapse(ORIGINAL)
