@@ -28,6 +28,9 @@ from typing import Literal, Sequence
 
 from .tables import StratifiedTable, Table2x2, collapse
 
+#: The stratum label of a pooled (collapsed) row.
+POOLED_LABEL = "All"
+
 
 @dataclass(frozen=True)
 class NominalCorrelationResult:
@@ -131,7 +134,7 @@ def odds_ratio(t: Table2x2) -> OddsRatioValue:
 @dataclass(frozen=True)
 class RateEntry:
     dataset: str
-    stratum: str        # "All" marks the pooled row
+    stratum: str        # POOLED_LABEL marks the pooled row
     group: str          # row label, e.g. "V" or "Other"
     incidents: int
     shifts: int
@@ -177,7 +180,7 @@ def rate_table(datasets: Sequence[StratifiedTable]) -> RateTable:
     for ds in datasets:
         for label, t in ds.strata:
             entries.extend(_group_rates(ds.name, label, t))
-        pooled.extend(_group_rates(ds.name, "All", collapse(ds)))
+        pooled.extend(_group_rates(ds.name, POOLED_LABEL, collapse(ds)))
     return RateTable(tuple(entries), tuple(pooled))
 
 

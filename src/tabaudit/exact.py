@@ -102,63 +102,64 @@ def _as_int(value, field: str) -> int:
     raise ValueError(f"{field} must be an integer, got {value!r}")
 
 
-def _refuse_long_exponent(value, field: str) -> None:
-    """Raise ``ValueError`` naming ``field`` if ``value`` is text that ``Fraction``
-    would expand into an integer longer than ``sys.get_int_max_str_digits()``
-    digits, or text with an exponent too long for ``Decimal`` to read (beyond
-    about 1e18). ``Fraction("1e-100000000")`` builds 10**100000000 before any
-    range check runs; ``Decimal`` keeps the exponent, so this check takes time
-    linear in the text. The limit is the interpreter's own limit on reading an
-    ``int`` from text, which already refuses a number written out that long."""
-    if not isinstance(value, str):
-        return
-    try:
-        exponent = Decimal(value).as_tuple().exponent
-    except InvalidOperation:
-        if re.search(r"[eE][-+]?[0-9]", value):
-            raise ValueError(f"{field} {value!r} has an exponent too large to read") from None
-        return
-    limit = sys.get_int_max_str_digits()
-    if isinstance(exponent, int) and limit and abs(exponent) > limit:   # not inf or nan
-        raise ValueError(f"{field} {value!r} spans more than {limit} digits")
+def _as_number(value, field: str, outside: str = "") -> Fraction:
+    """``value`` as an exact rational; a boolean or a non-number raises
+    ``ValueError`` naming ``field``. Given ``outside``, so does a value outside
+    [0, 1], with ``outside`` formatted with the text or the rational as the
+    message.
 
-
-def _as_number(value, field: str) -> Fraction:
-    """``value`` as an exact rational; a boolean, a non-number or text past the
-    interpreter's digit limit raises ``ValueError`` naming ``field``."""
-    _refuse_long_exponent(value, field)
+    Text is read by ``Decimal`` once, before ``Fraction`` sees it.
+    ``Decimal`` keeps the exponent that ``Fraction`` writes out digit by digit
+    (``Fraction("1e-100000000")`` builds 10**100000000), so these checks take
+    time linear in the text: text outside [0, 1], text whose exponent passes
+    ``sys.get_int_max_str_digits()`` (the interpreter's own limit on reading
+    an ``int`` from text) and text with an exponent too long for ``Decimal``
+    to read (beyond about 1e18) are refused. Other text ``Decimal`` cannot
+    read, such as "1/3", is left to ``Fraction``.
+    """
+    if isinstance(value, str):
+        try:
+            d = Decimal(value)
+        except InvalidOperation:
+            if re.search(r"[eE][-+]?[0-9]", value):
+                raise ValueError(f"{field} {value!r} has an exponent too large to read") from None
+        else:
+            if outside and d.is_finite() and not 0 <= d <= 1:
+                raise ValueError(outside.format(value))
+            exponent, limit = d.as_tuple().exponent, sys.get_int_max_str_digits()
+            if isinstance(exponent, int) and limit and abs(exponent) > limit:   # not inf or nan
+                raise ValueError(f"{field} {value!r} spans more than {limit} digits")
     if not isinstance(value, bool):
         try:
-            return Fraction(value)
+            number = Fraction(value)
         except (TypeError, ValueError, OverflowError, ZeroDivisionError):
             pass
+        else:
+            if outside and not 0 <= number <= 1:
+                raise ValueError(outside.format(number))
+            return number
     raise ValueError(f"{field} must be a rational number, got {value!r}")
-
-
-def _outside_unit(value) -> bool:
-    """Whether ``value`` is a string that ``Decimal`` reads as a number outside
-    [0, 1]. ``Decimal`` keeps the exponent of "1e100000000", which ``Fraction``
-    writes out digit by digit, so this takes time linear in the text and runs
-    before ``Fraction`` sees it. Text ``Decimal`` cannot read, such as "1/3",
-    is left to ``Fraction``."""
-    if not isinstance(value, str):
-        return False
-    try:
-        d = Decimal(value)
-    except InvalidOperation:
-        return False
-    return d.is_finite() and not 0 <= d <= 1
 
 
 def _as_rate(value) -> Fraction:
     """``value`` as an exact probability; a boolean, a non-number or a value
     outside [0, 1] raises ``ValueError``."""
-    if _outside_unit(value):
-        raise ValueError(f"rate {value} outside [0, 1]")
-    rate = _as_number(value, "rate")
-    if not 0 <= rate <= 1:
-        raise ValueError(f"rate {rate} outside [0, 1]")
-    return rate
+    return _as_number(value, "rate", "rate {} outside [0, 1]")
+
+
+def _margins(population, draws, successes) -> tuple[int, int, int]:
+    """The hypergeometric counts as ints, each margin inside [0, population]:
+    the one check of ``HypergeomParams``, ``hypergeom_upper_tail`` and the
+    hypergeometric simulator."""
+    population = _as_int(population, "population")
+    draws, successes = _as_int(draws, "draws"), _as_int(successes, "successes")
+    if population < 0:
+        raise ValueError(f"population {population} is negative")
+    if not 0 <= draws <= population:
+        raise ValueError(f"draws {draws} outside [0, {population}]")
+    if not 0 <= successes <= population:
+        raise ValueError(f"successes {successes} outside [0, {population}]")
+    return population, draws, successes
 
 
 @dataclass(frozen=True)
@@ -171,15 +172,10 @@ class HypergeomParams:
     observed: int       # incidents on the suspect's shifts
 
     def __post_init__(self):
-        for field in ("population", "draws", "successes", "observed"):
-            object.__setattr__(self, field, _as_int(getattr(self, field), field))
-        n, r, k, x = self.population, self.draws, self.successes, self.observed
-        if n < 0:
-            raise ValueError(f"population {n} is negative")
-        if not 0 <= r <= n:
-            raise ValueError(f"draws {r} outside [0, {n}]")
-        if not 0 <= k <= n:
-            raise ValueError(f"successes {k} outside [0, {n}]")
+        n, r, k = _margins(self.population, self.draws, self.successes)
+        x = _as_int(self.observed, "observed")
+        for field, value in zip(("population", "draws", "successes", "observed"), (n, r, k, x)):
+            object.__setattr__(self, field, value)
         lo, hi = max(0, r + k - n), min(r, k)
         if not lo <= x <= hi:
             raise SupportError(f"observed {x} outside support [{lo}, {hi}]")
@@ -224,12 +220,8 @@ def _ratio_sum(ratios) -> tuple[int, int]:
 
 def hypergeom_upper_tail(population: int, draws: int, successes: int, k: int) -> Fraction:
     """P(X >= k) for the hypergeometric; 1 below the support, 0 above it."""
-    population, k = _as_int(population, "population"), _as_int(k, "k")
-    draws, successes = _as_int(draws, "draws"), _as_int(successes, "successes")
-    if not 0 <= draws <= population:
-        raise ValueError(f"draws {draws} outside [0, {population}]")
-    if not 0 <= successes <= population:
-        raise ValueError(f"successes {successes} outside [0, {population}]")
+    population, draws, successes = _margins(population, draws, successes)
+    k = _as_int(k, "k")
     draws, successes = _drawn_first(population, draws, successes)
     lo, hi = max(0, draws + successes - population), min(draws, successes)
     if k <= lo:

@@ -20,14 +20,12 @@ from fractions import Fraction
 from typing import Mapping, Sequence
 
 from . import datasets
-from .association import RateTable, rate_table
+from .association import POOLED_LABEL, RateTable, rate_table
 from .confounding import CollapseComparison, SimpsonVerdict, collapse_comparison, simpson_check
 from .exact import (BinomialParams, TailTable, _as_int, _as_number, binomial_upper_tail,
                     fisher_upper_tail, tail_table)
 from .render import exact_json, exact_json_with_text, float_json, row_sig6, sig6, text_table
 from .tables import StratifiedTable, Table2x2, collapse
-
-POOLED_LABEL = "All"
 
 #: Tail-table threshold ranges used by ``replicate`` for the embedded
 #: datasets, chosen to cover every published row.
@@ -187,7 +185,9 @@ def replicate(
     """
     registry = datasets.EMBEDDED if registry is None else registry
     resolved: list[StratifiedTable] = []
-    for name in names:
+    for i, name in enumerate(names):
+        if name in names[:i]:   # its results would be written over, its rates listed twice
+            raise ValueError(f"dataset {name!r} named twice")
         try:
             resolved.append(registry[name])
         except KeyError:

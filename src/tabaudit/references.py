@@ -15,6 +15,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable
 
+from .association import POOLED_LABEL
+
 REL_TOL = 1e-4
 
 
@@ -71,7 +73,7 @@ def _binom(name, field):
 
 def _rate(name, stratum, group, field="value"):
     def get(doc):
-        rows = doc["rates"]["pooled" if stratum == "All" else "strata"]
+        rows = doc["rates"]["pooled" if stratum == POOLED_LABEL else "strata"]
         rate = _find(rows, dataset=name, stratum=stratum, group=group)["rate"]
         return Fraction(rate["fraction"]) if field == "fraction" else rate[field]
     return get
@@ -148,10 +150,10 @@ def _checks() -> list[Check]:
     for name, stratum, group, expected in ward_rates:
         rel(f"{name} {stratum} {group} rate", _rate(name, stratum, group), expected)
     exact("original JKZ Other rate", _rate("original", "JKZ", "Other", "fraction"), Fraction(0))
-    rel("original pooled p0", _rate("original", "All", "Other"), 0.0084801)
-    rel("derksen pooled p0", _rate("derksen", "All", "Other"), 0.00914435)
-    rel("original pooled p1", _rate("original", "All", "V"), 0.0696517)
-    rel("derksen pooled p1", _rate("derksen", "All", "V"), 0.0295567)
+    rel("original pooled p0", _rate("original", POOLED_LABEL, "Other"), 0.0084801)
+    rel("derksen pooled p0", _rate("derksen", POOLED_LABEL, "Other"), 0.00914435)
+    rel("original pooled p1", _rate("original", POOLED_LABEL, "V"), 0.0696517)
+    rel("derksen pooled p1", _rate("derksen", POOLED_LABEL, "V"), 0.0295567)
 
     return checks
 

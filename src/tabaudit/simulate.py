@@ -14,8 +14,12 @@ by (seed, i). Results are therefore identical across runs and independent of
 how blocks are distributed over workers: merging is integer summation. In
 the heterogeneous model each nurse has their own rate (at most one incident
 per shift); the estimate reads the suspect's count alone, which is
-independent of the others, so only that binomial count is drawn. numpy is
-imported where a generator is built, so the exact paths never load it.
+independent of the others, so it checks every nurse's rate and shift count
+and then runs ``simulate_tail`` on the suspect's binomial spec. A spec
+accepts exactly what the exact kernels accept, plus the limits of its own:
+trials at least 1, a seed in [0, 2**64) and numpy's 10**9 limit on the
+hypergeometric sampler. numpy is imported where a generator is built, so
+the exact paths never load it.
 """
 
 from __future__ import annotations
@@ -28,15 +32,13 @@ from fractions import Fraction
 from pathlib import Path
 from typing import Sequence
 
-from .exact import _as_int, _as_number, _as_rate, _outside_unit
+from .exact import BinomialParams, _as_int, _as_number, _as_rate, _margins
 
 BLOCK_TRIALS = 1 << 16
 
 
 def _block_generator(seed: int, block: int):
     """The numpy ``Generator`` of one block: Philox keyed by (seed, block)."""
-    if not 0 <= seed < 1 << 64:
-        raise ValueError(f"seed {seed} outside [0, 2**64)")
     import numpy as np
     key = np.array([seed, block], dtype=np.uint64)
     return np.random.Generator(np.random.Philox(key=key))
@@ -62,20 +64,18 @@ class SimulationSpec:
             object.__setattr__(self, field, _as_int(value, field))
         if self.trials < 1:
             raise ValueError(f"trials must be >= 1, got {self.trials}")
-        if self.draws < 0:
-            raise ValueError(f"draws must be >= 0, got {self.draws}")
+        if not 0 <= self.seed < 1 << 64:   # keys Philox as it is: -1 must not alias 2**64 - 1
+            raise ValueError(f"seed {self.seed} outside [0, 2**64)")
         if self.rate is not None:
             object.__setattr__(self, "rate", _as_rate(self.rate))
         if self.model == "binomial":
             if self.rate is None:
                 raise ValueError("binomial model needs a rate")
+            BinomialParams(self.draws, self.rate)
         elif self.model == "hypergeometric":
             if self.population is None or self.successes is None:
                 raise ValueError("hypergeometric model needs population and successes")
-            if not 0 <= self.draws <= self.population:
-                raise ValueError(f"draws {self.draws} outside [0, {self.population}]")
-            if not 0 <= self.successes <= self.population:
-                raise ValueError(f"successes {self.successes} outside [0, {self.population}]")
+            _margins(self.population, self.draws, self.successes)
             if max(self.successes, self.population - self.successes) >= 10**9:
                 raise ValueError(f"successes {self.successes} and population - successes "
                                  f"{self.population - self.successes} must each be below 10**9 "
@@ -123,20 +123,9 @@ class SimulationResult:
     hits: int
 
 
-def _simulate(draw, k: int, trials: int, seed: int) -> SimulationResult:
-    """Count trials with ``draw(rng, size) >= k``, one Philox stream per block."""
-    hits = 0
-    for block, done in enumerate(range(0, trials, BLOCK_TRIALS)):
-        counts = draw(_block_generator(seed, block), min(BLOCK_TRIALS, trials - done))
-        hits += int((counts >= k).sum())
-    estimate = hits / trials
-    stderr = math.sqrt(estimate * (1 - estimate) / trials)
-    interval = (max(0.0, estimate - 3 * stderr), min(1.0, estimate + 3 * stderr))
-    return SimulationResult(estimate, stderr, interval, trials, seed, hits)
-
-
 def simulate_tail(spec: SimulationSpec, k: int) -> SimulationResult:
-    """Estimate P(X >= k) under the spec's null model."""
+    """Estimate P(X >= k) under the spec's null model: count the trials with
+    ``X >= k``, one Philox stream per block."""
     k = _as_int(k, "threshold")
     if k < 0:
         raise ValueError(f"threshold {k} is negative")
@@ -147,7 +136,14 @@ def simulate_tail(spec: SimulationSpec, k: int) -> SimulationResult:
         def draw(rng, size):
             return rng.hypergeometric(spec.successes, spec.population - spec.successes,
                                       spec.draws, size=size)
-    return _simulate(draw, k, spec.trials, spec.seed)
+    hits = 0
+    for block, done in enumerate(range(0, spec.trials, BLOCK_TRIALS)):
+        counts = draw(_block_generator(spec.seed, block), min(BLOCK_TRIALS, spec.trials - done))
+        hits += int((counts >= k).sum())
+    estimate = hits / spec.trials
+    stderr = math.sqrt(estimate * (1 - estimate) / spec.trials)
+    interval = (max(0.0, estimate - 3 * stderr), min(1.0, estimate + 3 * stderr))
+    return SimulationResult(estimate, stderr, interval, spec.trials, spec.seed, hits)
 
 
 def simulate_heterogeneous(
@@ -158,24 +154,20 @@ def simulate_heterogeneous(
     trials: int,
     seed: int,
 ) -> SimulationResult:
-    """Estimate P(suspect count >= k) when each nurse draws at their own rate."""
+    """Estimate P(suspect count >= k) when each nurse draws at their own rate:
+    ``simulate_tail`` on the suspect's binomial spec."""
     if len(rates) != len(shifts):
         raise ValueError(f"{len(rates)} rates but {len(shifts)} shift counts")
     suspect_index = _as_int(suspect_index, "suspect_index")
     if not 0 <= suspect_index < len(rates):
         raise ValueError(f"suspect index {suspect_index} outside 0..{len(rates) - 1}")
-    trials, seed = _as_int(trials, "trials"), _as_int(seed, "seed")
-    k = _as_int(k, "threshold")
-    if trials < 1:
-        raise ValueError(f"trials must be >= 1, got {trials}")
-    if any(_outside_unit(r) or not 0 <= _as_number(r, f"rates[{i}]") <= 1
-           for i, r in enumerate(rates)):
-        raise ValueError("rates must lie in [0, 1]")
+    rates = [_as_number(r, f"rates[{i}]", "rates must lie in [0, 1]") for i, r in enumerate(rates)]
     shifts = [_as_int(n, f"shifts[{i}]") for i, n in enumerate(shifts)]
     if any(n < 0 for n in shifts):
         raise ValueError("shift counts must be non-negative")
-    n, p = shifts[suspect_index], float(Fraction(rates[suspect_index]))
-    return _simulate(lambda rng, size: rng.binomial(n, p, size=size), k, trials, seed)
+    spec = SimulationSpec(model="binomial", trials=trials, seed=seed,
+                          draws=shifts[suspect_index], rate=rates[suspect_index])
+    return simulate_tail(spec, k)
 
 
 LOG_HEADER = ("model", "seed", "trials", "k", "estimate", "stderr")

@@ -37,7 +37,8 @@ def _as_count(value, where: str) -> int:
 
 
 def _as_label_pair(value, where: str) -> tuple[str, str]:
-    pair = tuple(str(x) for x in value)
+    # a bare string is not a pair: "VO" would split into ("V", "O")
+    pair = () if isinstance(value, str) else tuple(str(x) for x in value)
     if len(pair) != 2:
         raise TableValidationError(f"{where}: expected exactly two labels, got {value!r}")
     return pair
@@ -258,51 +259,40 @@ def validate(
     """Build a Table2x2 from raw counts, checking any redundant margins.
 
     Accepts either the inner 2x2 cells or the bordered 3x3 form whose last
-    row and column carry sums. Margins supplied separately (or embedded in
-    the bordered form) are verified against the cell-derived values; any
-    mismatch raises an error naming the offending cell.
+    row and column carry sums. Margins supplied separately (``row_sums`` and
+    ``col_sums`` as two sums each, ``total`` as one), embedded in the
+    bordered form, or both, must each be a count equal to the cell-derived
+    value; anything else raises an error naming the offending margin.
     """
     rows = [list(r) for r in counts]
-    if len(rows) == 2 and all(len(r) == 2 for r in rows):
-        inner = rows
-        embedded = None
-    elif len(rows) == 3 and all(len(r) == 3 for r in rows):
-        inner = [rows[0][:2], rows[1][:2]]
-        embedded = rows
-    else:
+    if len(rows) not in (2, 3) or any(len(r) != len(rows) for r in rows):
         shape = "x".join(str(len(r)) for r in rows) or "empty"
         raise TableValidationError(
             f"expected a 2x2 or bordered 3x3 count grid, got rows of length {shape}")
 
-    t = Table2x2(inner[0][0], inner[0][1], inner[1][0], inner[1][1],
-                 row_labels=tuple(row_labels), col_labels=tuple(col_labels))
+    t = Table2x2(rows[0][0], rows[0][1], rows[1][0], rows[1][1],
+                 row_labels=row_labels, col_labels=col_labels)
 
-    derived = margins(t)
-    if embedded is not None:
-        checks = [
-            (embedded[0][2], derived.row_sums[0], f"sum of row {t.row_labels[0]!r}"),
-            (embedded[1][2], derived.row_sums[1], f"sum of row {t.row_labels[1]!r}"),
-            (embedded[2][0], derived.col_sums[0], f"sum of column {t.col_labels[0]!r}"),
-            (embedded[2][1], derived.col_sums[1], f"sum of column {t.col_labels[1]!r}"),
-            (embedded[2][2], derived.total, "grand total"),
-        ]
-        for supplied, expect, where in checks:
-            supplied = _as_count(supplied, where)
-            if supplied != expect:
-                raise TableValidationError(
-                    f"{where}: supplied {supplied} != {expect} derived from cells")
-
-    if row_sums is not None:
-        for supplied, expect, label in zip(row_sums, derived.row_sums, t.row_labels):
-            if supplied != expect:
-                raise TableValidationError(
-                    f"sum of row {label!r}: supplied {supplied} != {expect} derived from cells")
-    if col_sums is not None:
-        for supplied, expect, label in zip(col_sums, derived.col_sums, t.col_labels):
-            if supplied != expect:
-                raise TableValidationError(
-                    f"sum of column {label!r}: supplied {supplied} != {expect} derived from cells")
-    if total is not None and total != derived.total:
-        raise TableValidationError(
-            f"grand total: supplied {total} != {derived.total} derived from cells")
+    names = ([f"sum of row {label!r}" for label in t.row_labels]
+             + [f"sum of column {label!r}" for label in t.col_labels] + ["grand total"])
+    values = [t.row1, t.row2, t.col1, t.col2, t.total]
+    checks = []   # (name, supplied, derived value) for every margin supplied
+    if len(rows) == 3:
+        checks += zip(names, [rows[0][2], rows[1][2], *rows[2]], values)
+    for field, sums, at in (("row_sums", row_sums, 0), ("col_sums", col_sums, 2)):
+        if sums is not None:
+            try:
+                pair = tuple(sums)
+            except TypeError:   # a single number
+                pair = ()
+            if len(pair) != 2:
+                raise TableValidationError(f"{field}: expected two sums, got {sums!r}")
+            checks += zip(names[at:at + 2], pair, values[at:at + 2])
+    if total is not None:
+        checks.append((names[4], total, values[4]))
+    for where, supplied, expect in checks:
+        supplied = _as_count(supplied, where)
+        if supplied != expect:
+            raise TableValidationError(
+                f"{where}: supplied {supplied} != {expect} derived from cells")
     return t
