@@ -166,8 +166,7 @@ def cmd_analyze(args) -> int:
 
 def cmd_fisher(args) -> int:
     ds = _resolve_source(args)
-    nurses = args.nurses if args.nurses is not None else datasets.n_nurses_for(ds.name)
-    result = pipeline.fisher_pipeline(ds, nurses, args.mode)
+    result = pipeline.fisher_pipeline(ds, args.nurses, args.mode)
     doc = {"dataset": ds.name, **pipeline.fisher_json(result)}
     def text():
         rows = [[lab, sig6(tail)] for lab, tail in result.stratum_tails]
@@ -226,8 +225,7 @@ def cmd_simpson(args) -> int:
 
 
 def cmd_replicate(args) -> int:
-    overrides = None if args.nurses is None else dict.fromkeys(datasets.EMBEDDED, args.nurses)
-    report = pipeline.replicate(n_nurses=overrides)
+    report = pipeline.replicate(n_nurses=args.nurses)
     doc = report.to_json_dict()
     failures = references.check_report_json(doc)
     doc["verification"] = {"passed": not failures, "failures": failures}
@@ -252,11 +250,9 @@ def cmd_simulate(args) -> int:
     ds = _resolve_source(args)
     table, label = _select_table(ds, args.stratum)
     if args.model == "binomial":
-        if table.row2 == 0:
-            raise ValueError("comparison group has zero shifts; cannot form a rate")
         spec = simulate.SimulationSpec(
             model="binomial", trials=args.trials, seed=args.seed,
-            draws=table.row1, rate=Fraction(table.c, table.row2),
+            draws=table.row1, rate=pipeline.null_rate(table),
         )
     else:
         spec = simulate.SimulationSpec(
@@ -377,7 +373,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = command("fisher", cmd_fisher, "exact upper tails with the post-hoc correction")
     p.add_argument("--mode", choices=("stratified", "collapsed"), default="stratified")
-    p.add_argument("--nurses", type=int, help="roster size for the post-hoc correction")
+    p.add_argument("--nurses", type=int, default=datasets.DEFAULT_N_NURSES,
+                   help="roster size for the post-hoc correction (default %(default)s)")
 
     p = command("binomial", cmd_binomial, "draws-with-replacement tail model")
     p.add_argument("--stratum", help="analyze this stratum instead of the pooled table")
@@ -391,7 +388,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = command("replicate", cmd_replicate,
                 "run all analyses on the embedded datasets and verify reference values",
                 source=False)
-    p.add_argument("--nurses", type=int, help="override the roster size for every dataset")
+    p.add_argument("--nurses", type=int, default=datasets.DEFAULT_N_NURSES,
+                   help="roster size of every dataset's post-hoc correction "
+                   "(default %(default)s)")
     p.add_argument("--figures", help="also write determinant SVG figures to this directory")
 
     p = command("simulate", cmd_simulate, "seeded Monte Carlo check of a tail probability")

@@ -27,7 +27,6 @@ from __future__ import annotations
 import csv
 import io
 import json
-from dataclasses import dataclass
 from pathlib import Path
 from typing import Mapping
 
@@ -40,15 +39,6 @@ class DatasetFormatError(ValueError):
 
 class UnknownDatasetError(KeyError):
     """Raised when an embedded dataset name does not exist."""
-
-
-@dataclass(frozen=True)
-class DatasetInfo:
-    """Case configuration and reference metadata for an embedded dataset."""
-
-    n_nurses: int
-    multiway_reference: float | None   # published multiway correlation; metadata only
-    description: str
 
 
 def _make(name, row_labels, col_labels, strata):
@@ -82,12 +72,14 @@ EMBEDDED: dict[str, StratifiedTable] = {
     ),
 }
 
-DATASET_INFO: dict[str, DatasetInfo] = {
-    "original": DatasetInfo(27, 0.337002, "uncorrected ward counts"),
-    "derksen": DatasetInfo(27, 0.246024, "corrected ward counts"),
-    "shops": DatasetInfo(27, 0.665851, "two-shop Simpson paradox example"),
+#: Published multiway correlation of each embedded dataset; metadata only.
+MULTIWAY_REFERENCE: dict[str, float] = {
+    "original": 0.337002,
+    "derksen": 0.246024,
+    "shops": 0.665851,
 }
 
+#: Roster size of the post-hoc correction: the nurses of the case's wards.
 DEFAULT_N_NURSES = 27
 
 
@@ -101,11 +93,6 @@ def get(name: str) -> StratifiedTable:
     except KeyError:
         known = ", ".join(sorted(EMBEDDED))
         raise UnknownDatasetError(f"unknown dataset {name!r} (embedded: {known})") from None
-
-
-def n_nurses_for(name: str) -> int:
-    info = DATASET_INFO.get(name)
-    return info.n_nurses if info else DEFAULT_N_NURSES
 
 
 def to_json_dict(s: StratifiedTable) -> dict:

@@ -104,6 +104,13 @@ class BinomialAnalysisResult:
     k_star: int | None
 
 
+def null_rate(t: Table2x2) -> Fraction:
+    """The comparison group's incidents per shift: the null rate of the binomial model."""
+    if t.row2 == 0:
+        raise ValueError("comparison group has zero shifts; cannot form a null rate")
+    return Fraction(t.c, t.row2)
+
+
 def binomial_analysis(
     t: Table2x2,
     k_range: tuple[int, int] | None = None,
@@ -112,14 +119,12 @@ def binomial_analysis(
     tau = _as_number(tau, "tau")
     if not 0 < tau <= 1:
         raise ValueError(f"tau {tau} outside (0, 1]")
-    if t.row2 == 0:
-        raise ValueError("comparison group has zero shifts; cannot form a null rate")
-    null_rate = Fraction(t.c, t.row2)
+    p0 = null_rate(t)
     suspect_rate = Fraction(t.a, t.row1) if t.row1 else None
     draws, k_obs = t.row1, t.a
     if k_range is None:
         k_range = (0, min(k_obs + 1, draws + 1))
-    params = BinomialParams(draws, null_rate)
+    params = BinomialParams(draws, p0)
     k_min, k_max = k_range
     tails = tail_table(params, k_min, k_max)
     if k_min <= k_obs <= k_max:
@@ -130,13 +135,13 @@ def binomial_analysis(
                    if row.numerator * tau.denominator < tau.numerator * row.denominator), None)
     return BinomialAnalysisResult(
         draws=draws,
-        null_rate=null_rate,
+        null_rate=p0,
         suspect_rate=suspect_rate,
         k_obs=k_obs,
         tails=tails,
         tail_at_k_obs=tail_obs,
         one_in_n=None if tail_obs == 0 else 1 / tail_obs,
-        expected=draws * null_rate,
+        expected=draws * p0,
         tau=tau,
         k_star=k_star,
     )
@@ -147,7 +152,7 @@ class AnalysisReport:
     """Structured replication output over a list of datasets."""
 
     dataset_names: tuple[str, ...]
-    n_nurses: dict[str, int]
+    n_nurses: int
     correlations: dict[str, CollapseComparison]
     fisher: dict[str, dict[str, FisherPipelineResult]]   # name -> mode -> result
     rates: RateTable
@@ -175,13 +180,12 @@ _REPORT_NOTES = (
 def replicate(
     names: Sequence[str] = ("original", "derksen", "shops"),
     registry: Mapping[str, StratifiedTable] | None = None,
-    n_nurses: Mapping[str, int] | None = None,
-    tau: Fraction | float = Fraction(1, 20),
+    n_nurses: int = datasets.DEFAULT_N_NURSES,
 ) -> AnalysisReport:
     """Run every analysis on the named datasets and assemble a report.
 
-    ``registry`` defaults to the embedded datasets; ``n_nurses`` overrides the
-    per-dataset roster size used by the post-hoc correction.
+    ``registry`` defaults to the embedded datasets; ``n_nurses`` is the roster
+    size of every dataset's post-hoc correction.
     """
     registry = datasets.EMBEDDED if registry is None else registry
     resolved: list[StratifiedTable] = []
@@ -195,11 +199,7 @@ def replicate(
                 f"unknown dataset {name!r} (available: {', '.join(sorted(registry))})"
             ) from None
 
-    nurse_counts = {
-        name: (_as_int(n_nurses[name], f"n_nurses[{name!r}]") if n_nurses and name in n_nurses
-               else datasets.n_nurses_for(name))
-        for name in names
-    }
+    n_nurses = _as_int(n_nurses, "n_nurses")
     correlations: dict[str, CollapseComparison] = {}
     fisher: dict[str, dict[str, FisherPipelineResult]] = {}
     simpson: dict[str, SimpsonVerdict | None] = {}
@@ -208,18 +208,15 @@ def replicate(
     for name, ds in zip(names, resolved):
         correlations[name] = collapse_comparison(ds)
         fisher[name] = {
-            mode: fisher_pipeline(ds, nurse_counts[name], mode)
+            mode: fisher_pipeline(ds, n_nurses, mode)
             for mode in ("stratified", "collapsed")
         }
         simpson[name] = simpson_check(ds) if len(ds.strata) >= 2 else None
-        binomial[name] = binomial_analysis(
-            collapse(ds), k_range=REPLICATE_K_RANGES.get(name), tau=tau
-        )
-        info = datasets.DATASET_INFO.get(name)
-        multiway[name] = info.multiway_reference if info else None
+        binomial[name] = binomial_analysis(collapse(ds), k_range=REPLICATE_K_RANGES.get(name))
+        multiway[name] = datasets.MULTIWAY_REFERENCE.get(name)
     return AnalysisReport(
         dataset_names=tuple(names),
-        n_nurses=nurse_counts,
+        n_nurses=n_nurses,
         correlations=correlations,
         fisher=fisher,
         rates=rate_table(resolved),
@@ -340,7 +337,7 @@ def binomial_json(r: BinomialAnalysisResult) -> dict:
 def report_json(report: AnalysisReport) -> dict:
     return {
         "datasets": list(report.dataset_names),
-        "n_nurses": dict(report.n_nurses),
+        "n_nurses": dict.fromkeys(report.dataset_names, report.n_nurses),
         "correlations": {
             name: {
                 **comparison_json(comp),

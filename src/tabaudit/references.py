@@ -13,7 +13,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable
 
 from .association import POOLED_LABEL
 
@@ -22,103 +21,79 @@ REL_TOL = 1e-4
 
 @dataclass(frozen=True)
 class Check:
+    """One reference value and where the report holds it.
+
+    ``path`` walks the report JSON: a string step reads that key, a dict step
+    picks the list row whose fields match it. A path that ends at a
+    ``"fraction"`` reads the exact value that text writes.
+    """
+
     key: str
-    getter: Callable[[dict], object]
+    path: tuple
     expected: object
     kind: str  # "rel" | "exact" | "bool"
 
 
-def _find(rows, **match):
-    for row in rows:
-        if all(row.get(k) == v for k, v in match.items()):
-            return row
-    raise KeyError(f"no row matching {match}")
-
-
-def _pooled_corr(name):
-    return lambda doc: doc["correlations"][name]["pooled"]["value"]
-
-
-def _corr_ratio(name, which):
-    return lambda doc: Fraction(doc["correlations"][name]["pooled"][which]["fraction"])
-
-
-def _fisher_tail(name, stratum, field="value"):
-    def get(doc):
-        row = _find(doc["fisher"][name]["stratified"]["stratum_tails"], stratum=stratum)
-        return Fraction(row["fraction"]) if field == "fraction" else row[field]
-    return get
-
-
-def _one_in_n(name, mode):
-    return lambda doc: doc["fisher"][name][mode]["one_in_n"]["value"]
-
-
-def _odds(name, stratum=None):
-    def get(doc):
-        section = doc["simpson"][name]
-        if stratum is None:
-            return Fraction(section["pooled_odds"]["fraction"])
-        return Fraction(_find(section["stratum_odds"], stratum=stratum)["fraction"])
-    return get
-
-
-def _binom_row(name, threshold):
-    return lambda doc: _find(doc["binomial"][name]["rows"], threshold=threshold)["value"]
-
-
-def _binom(name, field):
-    return lambda doc: doc["binomial"][name][field]["value"]
-
-
-def _rate(name, stratum, group, field="value"):
-    def get(doc):
-        rows = doc["rates"]["pooled" if stratum == POOLED_LABEL else "strata"]
-        rate = _find(rows, dataset=name, stratum=stratum, group=group)["rate"]
-        return Fraction(rate["fraction"]) if field == "fraction" else rate[field]
-    return get
+def _get(doc, path):
+    for step in path:
+        if isinstance(step, dict):
+            doc = next((row for row in doc if all(row.get(k) == v for k, v in step.items())),
+                       None)
+            if doc is None:
+                raise KeyError(f"no row matching {step}")
+        else:
+            doc = doc[step]
+    return Fraction(doc) if path[-1] == "fraction" else doc
 
 
 def _checks() -> list[Check]:
     checks: list[Check] = []
 
-    def rel(key, getter, expected):
-        checks.append(Check(key, getter, expected, "rel"))
+    def rel(key, path, expected):
+        checks.append(Check(key, path, expected, "rel"))
 
-    def exact(key, getter, expected):
-        checks.append(Check(key, getter, expected, "exact"))
+    def exact(key, path, expected):
+        checks.append(Check(key, path, expected, "exact"))
 
-    def boolean(key, getter, expected):
-        checks.append(Check(key, getter, expected, "bool"))
+    def boolean(key, path, expected):
+        checks.append(Check(key, path, expected, "bool"))
 
     # correlation overview (pooled)
-    rel("original pooled correlation", _pooled_corr("original"), 0.158169)
-    rel("derksen pooled correlation", _pooled_corr("derksen"), 0.0614621)
-    exact("shops pooled correlation (row ratio)",
-          _corr_ratio("shops", "row_picture_ratio"), Fraction(-1, 8))
-    exact("shops pooled correlation (col ratio)",
-          _corr_ratio("shops", "col_picture_ratio"), Fraction(-1, 8))
-    exact("shops pooled correlation (float)", _pooled_corr("shops"), -0.125)
+    for name, expected in [("original", 0.158169), ("derksen", 0.0614621)]:
+        rel(f"{name} pooled correlation", ("correlations", name, "pooled", "value"), expected)
+    for which in ("row", "col"):
+        exact(f"shops pooled correlation ({which} ratio)",
+              ("correlations", "shops", "pooled", f"{which}_picture_ratio", "fraction"),
+              Fraction(-1, 8))
+    exact("shops pooled correlation (float)",
+          ("correlations", "shops", "pooled", "value"), -0.125)
 
     # Simpson check on the shops dataset
-    exact("shops Shop1 odds ratio", _odds("shops", "Shop1"), Fraction(5, 4))
-    exact("shops Shop2 odds ratio", _odds("shops", "Shop2"), Fraction(5, 4))
-    exact("shops pooled odds ratio", _odds("shops"), Fraction(49, 81))
-    boolean("shops paradox", lambda doc: doc["simpson"]["shops"]["paradox"], True)
+    for stratum in ("Shop1", "Shop2"):
+        exact(f"shops {stratum} odds ratio",
+              ("simpson", "shops", "stratum_odds", {"stratum": stratum}, "fraction"),
+              Fraction(5, 4))
+    exact("shops pooled odds ratio",
+          ("simpson", "shops", "pooled_odds", "fraction"), Fraction(49, 81))
+    boolean("shops paradox", ("simpson", "shops", "paradox"), True)
 
     # per-ward exact upper tails
+    def fisher_tail(name, stratum, field="value"):
+        return ("fisher", name, "stratified", "stratum_tails", {"stratum": stratum}, field)
+
     for stratum, expected in [("JKZ", 1.10572e-7), ("RKZ1", 0.0136612), ("RKZ2", 0.0715592)]:
-        rel(f"original {stratum} Fisher tail", _fisher_tail("original", stratum), expected)
+        rel(f"original {stratum} Fisher tail", fisher_tail("original", stratum), expected)
     exact("original RKZ1 Fisher tail (exact)",
-          _fisher_tail("original", "RKZ1", "fraction"), Fraction(5, 366))
+          fisher_tail("original", "RKZ1", "fraction"), Fraction(5, 366))
     for stratum, expected in [("JKZ", 0.00155956), ("RKZ1", 0.0405357), ("RKZ2", 0.851093)]:
-        rel(f"derksen {stratum} Fisher tail", _fisher_tail("derksen", stratum), expected)
+        rel(f"derksen {stratum} Fisher tail", fisher_tail("derksen", stratum), expected)
 
     # one-in-N overview (post-hoc correction with 27 nurses)
-    rel("original one-in-N stratified", _one_in_n("original", "stratified"), 3.42638e8)
-    rel("original one-in-N collapsed", _one_in_n("original", "collapsed"), 141494.0)
-    rel("derksen one-in-N stratified", _one_in_n("derksen", "stratified"), 688.367)
-    rel("derksen one-in-N collapsed", _one_in_n("derksen", "collapsed"), 1.64051)
+    for name, mode, expected in [
+        ("original", "stratified", 3.42638e8), ("original", "collapsed", 141494.0),
+        ("derksen", "stratified", 688.367), ("derksen", "collapsed", 1.64051),
+    ]:
+        rel(f"{name} one-in-N {mode}", ("fisher", name, mode, "one_in_n", "value"), expected)
 
     # binomial tail tables, observed tails, reciprocals
     original_rows = {
@@ -130,12 +105,12 @@ def _checks() -> list[Check]:
         3: 0.284318, 4: 0.117044, 5: 0.0398576, 6: 0.0115067, 7: 0.00287253,
         8: 0.000630018, 9: 0.000122978,
     }
-    for k, expected in original_rows.items():
-        rel(f"original binomial tail >= {k}", _binom_row("original", k), expected)
-    for k, expected in derksen_rows.items():
-        rel(f"derksen binomial tail >= {k}", _binom_row("derksen", k), expected)
-    rel("original binomial one-in-N", _binom("original", "one_in_n"), 3.48574e8)
-    rel("derksen binomial one-in-N", _binom("derksen", "one_in_n"), 86.9055)
+    for name, rows in [("original", original_rows), ("derksen", derksen_rows)]:
+        for k, expected in rows.items():
+            rel(f"{name} binomial tail >= {k}",
+                ("binomial", name, "rows", {"threshold": k}, "value"), expected)
+    for name, expected in [("original", 3.48574e8), ("derksen", 86.9055)]:
+        rel(f"{name} binomial one-in-N", ("binomial", name, "one_in_n", "value"), expected)
 
     # incident rate table (per-ward and pooled)
     ward_rates = [
@@ -147,13 +122,19 @@ def _checks() -> list[Check]:
         ("derksen", "JKZ", "Other", 0.0011274), ("derksen", "RKZ1", "Other", 0.0110193),
         ("derksen", "RKZ2", "Other", 0.0320285),
     ]
+
+    def rate(name, stratum, group, field="value"):
+        return ("rates", "pooled" if stratum == POOLED_LABEL else "strata",
+                {"dataset": name, "stratum": stratum, "group": group}, "rate", field)
+
     for name, stratum, group, expected in ward_rates:
-        rel(f"{name} {stratum} {group} rate", _rate(name, stratum, group), expected)
-    exact("original JKZ Other rate", _rate("original", "JKZ", "Other", "fraction"), Fraction(0))
-    rel("original pooled p0", _rate("original", POOLED_LABEL, "Other"), 0.0084801)
-    rel("derksen pooled p0", _rate("derksen", POOLED_LABEL, "Other"), 0.00914435)
-    rel("original pooled p1", _rate("original", POOLED_LABEL, "V"), 0.0696517)
-    rel("derksen pooled p1", _rate("derksen", POOLED_LABEL, "V"), 0.0295567)
+        rel(f"{name} {stratum} {group} rate", rate(name, stratum, group), expected)
+    exact("original JKZ Other rate", rate("original", "JKZ", "Other", "fraction"), Fraction(0))
+    for name, p, group, expected in [
+        ("original", "p0", "Other", 0.0084801), ("derksen", "p0", "Other", 0.00914435),
+        ("original", "p1", "V", 0.0696517), ("derksen", "p1", "V", 0.0295567),
+    ]:
+        rel(f"{name} pooled {p}", rate(name, POOLED_LABEL, group), expected)
 
     return checks
 
@@ -169,7 +150,7 @@ def check_report_json(doc: dict) -> list[str]:
     failures = []
     for check in REFERENCE_CHECKS:
         try:
-            got = check.getter(doc)
+            got = _get(doc, check.path)
         except (KeyError, TypeError) as exc:
             failures.append(f"{check.key}: missing from report ({exc})")
             continue

@@ -99,13 +99,14 @@ def float_json(x: float | None) -> dict | None:
     return {"value": x, "display": sig6(x)}
 
 
-def text_table(headers: Sequence[str], rows: Sequence[Sequence[str]], indent: str = "  ") -> str:
-    """Align a small table; the first column left-justified, the rest right."""
+def text_table(headers: Sequence[str], rows: Sequence[Sequence[str]]) -> str:
+    """Align a small table, indented two spaces; the first column
+    left-justified, the rest right."""
     table = [list(headers)] + [list(r) for r in rows]
     widths = [max(len(row[i]) for row in table) for i in range(len(headers))]
     lines = []
     for row in table:
         cells = [row[0].ljust(widths[0])]
         cells += [cell.rjust(w) for cell, w in zip(row[1:], widths[1:])]
-        lines.append(indent + "  ".join(cells).rstrip())
+        lines.append("  " + "  ".join(cells).rstrip())
     return "\n".join(lines)

@@ -44,6 +44,14 @@ def _block_generator(seed: int, block: int):
     return np.random.Generator(np.random.Philox(key=key))
 
 
+#: The parameters each model reads besides trials, seed and draws. A spec
+#: refuses the other models' fields, so its JSON lists only what was simulated.
+MODEL_FIELDS: dict[str, tuple[str, ...]] = {
+    "binomial": ("rate",),
+    "hypergeometric": ("population", "successes"),
+}
+
+
 @dataclass(frozen=True)
 class SimulationSpec:
     """What to simulate: model, model parameters, trial count, seed."""
@@ -57,40 +65,39 @@ class SimulationSpec:
     successes: int | None = None    # hypergeometric: total incident shifts
 
     def __post_init__(self):
-        for field in ("trials", "seed", "draws", "population", "successes"):
+        fields = MODEL_FIELDS.get(self.model) if isinstance(self.model, str) else None
+        if fields is None:
+            raise ValueError(f"model must be 'binomial' or 'hypergeometric', got {self.model!r}")
+        for model, names in MODEL_FIELDS.items():
+            for field in names:
+                value = getattr(self, field)
+                if model == self.model and value is None:
+                    raise ValueError(f"{self.model} model needs a {field} field")
+                if model != self.model and value is not None:
+                    raise ValueError(f"{self.model} model has no {field} field, got {value!r}")
+        for field in ("trials", "seed", "draws", *fields):
             value = getattr(self, field)
-            if value is None and field in ("population", "successes"):
-                continue   # optional: the binomial model has neither
-            object.__setattr__(self, field, _as_int(value, field))
+            object.__setattr__(self, field,
+                               _as_rate(value) if field == "rate" else _as_int(value, field))
         if self.trials < 1:
             raise ValueError(f"trials must be >= 1, got {self.trials}")
         if not 0 <= self.seed < 1 << 64:   # keys Philox as it is: -1 must not alias 2**64 - 1
             raise ValueError(f"seed {self.seed} outside [0, 2**64)")
-        if self.rate is not None:
-            object.__setattr__(self, "rate", _as_rate(self.rate))
         if self.model == "binomial":
-            if self.rate is None:
-                raise ValueError("binomial model needs a rate")
             BinomialParams(self.draws, self.rate)
-        elif self.model == "hypergeometric":
-            if self.population is None or self.successes is None:
-                raise ValueError("hypergeometric model needs population and successes")
+        else:
             _margins(self.population, self.draws, self.successes)
             if max(self.successes, self.population - self.successes) >= 10**9:
                 raise ValueError(f"successes {self.successes} and population - successes "
                                  f"{self.population - self.successes} must each be below 10**9 "
                                  "for numpy's hypergeometric sampler")
-        else:
-            raise ValueError(f"model must be 'binomial' or 'hypergeometric', got {self.model!r}")
 
     def to_json_dict(self) -> dict:
         doc = {"model": self.model, "trials": self.trials, "seed": self.seed,
                "draws": self.draws}
-        if self.rate is not None:
-            doc["rate"] = str(self.rate)
-        if self.population is not None:
-            doc["population"] = self.population
-            doc["successes"] = self.successes
+        for field in MODEL_FIELDS[self.model]:
+            value = getattr(self, field)
+            doc[field] = str(value) if field == "rate" else value
         return doc
 
     @classmethod

@@ -282,6 +282,13 @@ class TestSimulate:
         assert (code, out) == (3, "")
         assert "successes 1000000000 and population - successes 5 must each be below" in err
 
+    def test_binomial_without_comparison_shifts_exit_3(self, capsys, tmp_path):
+        path = tmp_path / "alone.csv"
+        path.write_text("w,1,2,0,0\n")
+        code, out, err = run_cli(capsys, "simulate", "--input", str(path), "--trials", "10")
+        assert (code, out) == (3, "")
+        assert err == "error: comparison group has zero shifts; cannot form a null rate\n"
+
     def test_deterministic(self, capsys):
         args = ("simulate", "--dataset", "shops", "--trials", "3000", "--seed", "9")
         _, first, _ = run_cli(capsys, *args)

@@ -56,10 +56,10 @@ class TestEmbedded:
             datasets.get("nope")
 
     def test_reference_metadata(self):
-        assert datasets.DATASET_INFO["original"].multiway_reference == 0.337002
-        assert datasets.DATASET_INFO["derksen"].multiway_reference == 0.246024
-        assert datasets.DATASET_INFO["shops"].multiway_reference == 0.665851
-        assert datasets.n_nurses_for("original") == 27
+        assert datasets.MULTIWAY_REFERENCE["original"] == 0.337002
+        assert datasets.MULTIWAY_REFERENCE["derksen"] == 0.246024
+        assert datasets.MULTIWAY_REFERENCE["shops"] == 0.665851
+        assert datasets.DEFAULT_N_NURSES == 27
 
 
 class TestJsonRoundTrip:
@@ -94,6 +94,14 @@ class TestJsonRoundTrip:
         with pytest.raises(datasets.DatasetFormatError, match="non-empty"):
             datasets.from_json_dict(
                 {"name": "x", "row_labels": ["a", "b"], "col_labels": ["c", "d"], "strata": []})
+
+    @pytest.mark.parametrize("entry", [5, "s", None, [["s"], [[1, 2], [3, 4]]]])
+    def test_stratum_entry_must_be_an_object(self, entry):
+        doc = {"name": "x", "row_labels": ["a", "b"], "col_labels": ["c", "d"],
+               "strata": [{"label": "s", "counts": [[1, 2], [3, 4]]}, entry]}
+        with pytest.raises(datasets.DatasetFormatError,
+                           match="stratum 1 needs 'label' and 'counts'"):
+            datasets.from_json_dict(doc)
 
     def test_bad_counts_shape(self):
         doc = {"name": "x", "row_labels": ["a", "b"], "col_labels": ["c", "d"],

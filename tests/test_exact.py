@@ -197,6 +197,10 @@ class TestBinomial:
     def test_empty_draw(self):
         assert binomial_pmf(BinomialParams(0, Fraction(3, 7)), 0) == 1
 
+    def test_negative_draws(self):
+        with pytest.raises(ValueError, match="^draws -1 is negative$"):
+            BinomialParams(-1, Fraction(1, 2))
+
     def test_pmf_normalizes_exactly(self):
         for n, p in [(0, Fraction(1, 3)), (7, Fraction(2, 5)), (30, Fraction(13, 1533))]:
             params = BinomialParams(n, p)

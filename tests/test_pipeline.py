@@ -193,6 +193,26 @@ class TestReplicate:
         doc = replicate(("shops",)).to_json_dict()
         assert doc["simpson"]["shops"]["paradox"] is True
 
+    def test_single_stratum_has_no_simpson_check(self):
+        ward = StratifiedTable((("W", Table2x2(3, 20, 5, 200)),), name="ward")
+        report = replicate(["ward"], registry={"ward": ward})
+        assert report.to_json_dict()["simpson"] == {"ward": None}
+        assert "Simpson check\n  ward: single stratum, not applicable\n" in report.to_text()
+
+    def test_datasets_left_out_are_missing_from_verification(self):
+        failures = references.check_report_json(replicate(("shops",)).to_json_dict())
+        assert failures[0] == "original pooled correlation: missing from report ('original')"
+        assert all(": missing from report (" in f for f in failures)
+        assert len(failures) == sum(not c.key.startswith("shops")
+                                    for c in references.REFERENCE_CHECKS)
+
+    def test_missing_row_is_named(self):
+        doc = replicate(("original", "derksen")).to_json_dict()
+        del doc["binomial"]["original"]["rows"][0]
+        assert [f for f in references.check_report_json(doc) if "no row" in f] == [
+            "original binomial tail >= 3: missing from report "
+            "(\"no row matching {'threshold': 3}\")"]
+
     def test_mutated_registry_fails_verification(self):
         tampered = dict(datasets.EMBEDDED)
         strata = list(tampered["original"].strata)
@@ -232,9 +252,8 @@ class TestReplicate:
     @pytest.mark.parametrize("nurses", [True, 2.5, "3"])
     def test_nurse_override_must_be_an_integer(self, nurses):
         # True was written into the JSON n_nurses as ``true``
-        with pytest.raises(ValueError,
-                           match=f"n_nurses\\['shops'\\] must be an integer, got {nurses!r}"):
-            replicate(["shops"], n_nurses={"shops": nurses})
+        with pytest.raises(ValueError, match=f"n_nurses must be an integer, got {nurses!r}"):
+            replicate(["shops"], n_nurses=nurses)
 
     def test_each_dataset_is_pooled_once(self, monkeypatch):
         # the Simpson check, correlations, collapsed Fisher, binomial model and rate
@@ -257,7 +276,7 @@ class TestReplicate:
         assert report.to_json_dict() == replicate().to_json_dict()
 
     def test_nurse_override_changes_one_in_n(self):
-        report = replicate(("original",), n_nurses={"original": 1})
+        report = replicate(("original",), n_nurses=1)
         r = report.fisher["original"]["stratified"]
         assert r.n_nurses == 1
         assert rel_close(r.one_in_n, 27 * 3.42638e8, tol=1e-3)

@@ -180,6 +180,10 @@ class TestHeterogeneous:
         with pytest.raises(ValueError, match="rates must lie in"):
             simulate_heterogeneous([Fraction(1, 2), "1e100000000"], [10, 10], 0, 1, 100, seed=0)
 
+    def test_negative_shift_count(self):
+        with pytest.raises(ValueError, match="shift counts must be non-negative"):
+            simulate_heterogeneous([Fraction(1, 2)] * 2, [10, -1], 0, 1, 100, seed=0)
+
     def test_length_mismatch(self):
         with pytest.raises(ValueError, match="rates but"):
             simulate_heterogeneous([Fraction(1, 2)], [10, 20], 0, 1, 100, seed=0)
@@ -280,6 +284,25 @@ class TestSpecAndLog:
         except ValueError:
             return
         assert SimulationSpec.from_json(json.dumps(spec.to_json_dict())) == spec
+
+    @pytest.mark.parametrize("spec, field, value", [
+        (hypergeom_spec, "rate", "14/339"), (binomial_spec, "population", 1734),
+        (binomial_spec, "successes", 14),
+    ])
+    def test_spec_refuses_another_models_field(self, spec, field, value):
+        doc = {**spec().to_json_dict(), field: value}
+        message = f"^{doc['model']} model has no {field} field, got {value!r}$"
+        with pytest.raises(ValueError, match=message):
+            SimulationSpec(**doc)
+        with pytest.raises(ValueError, match=message):
+            SimulationSpec.from_json(json.dumps(doc))
+
+    def test_spec_json_lists_only_its_models_fields(self):
+        assert binomial_spec().to_json_dict() == {
+            "model": "binomial", "trials": 20000, "seed": 0, "draws": 203, "rate": "14/1531"}
+        assert hypergeom_spec().to_json_dict() == {
+            "model": "hypergeometric", "trials": 20000, "seed": 0, "draws": 58,
+            "population": 339, "successes": 14}
 
     def test_spec_rejects_populations_past_the_sampler(self):
         # numpy's hypergeometric sampler takes each class below 10**9

@@ -111,6 +111,10 @@ class TestCollapse:
         with pytest.raises(TableValidationError, match="at least one"):
             StratifiedTable(())
 
+    def test_stratum_must_be_a_table(self):
+        with pytest.raises(TableValidationError, match="stratum 'B' is not a Table2x2"):
+            StratifiedTable((("A", Table2x2(1, 2, 3, 4)), ("B", ((1, 2), (3, 4)))))
+
 
 class TestValidate:
     def test_bordered_rkz2(self):
@@ -178,6 +182,11 @@ class TestDiff:
         other = make_stratified("x", (1, 2, 3, 4), labels=["ward"])
         with pytest.raises(TableValidationError, match="labels differ"):
             diff(ORIGINAL, other)
+
+    def test_apply_label_mismatch_rejected(self):
+        other = make_stratified("x", (1, 2, 3, 4), labels=["ward"])
+        with pytest.raises(TableValidationError, match="diff stratum labels do not match"):
+            apply_diff(ORIGINAL, diff(other, other))
 
     @given(stratified_tables(min_strata=1, max_strata=3), st.data())
     def test_apply_round_trip(self, a, data):
