@@ -64,13 +64,6 @@ def nominal_correlation(t: Table2x2) -> NominalCorrelationResult:
     return NominalCorrelationResult(det, row_ratio, col_ratio, value)
 
 
-def stratum_correlations(
-    s: StratifiedTable,
-) -> list[tuple[str, NominalCorrelationResult]]:
-    """Nominal correlation applied per stratum."""
-    return [(label, nominal_correlation(t)) for label, t in s.strata]
-
-
 def flattened_volume_ratio(s: StratifiedTable) -> float:
     """Composite association from the stacked (2*strata) x 2 count matrix.
 
@@ -139,10 +132,6 @@ class RateEntry:
     incidents: int
     shifts: int
     rate: Fraction | None   # None when the group has zero shifts
-
-    @property
-    def value(self) -> float | None:
-        return None if self.rate is None else float(self.rate)
 
 
 @dataclass(frozen=True)

@@ -16,7 +16,6 @@ import functools
 import io
 import json
 import sys
-from fractions import Fraction
 from pathlib import Path
 from typing import Callable
 
@@ -189,7 +188,7 @@ def cmd_binomial(args) -> int:
     if (args.k_min is None) != (args.k_max is None):
         raise CliInputError("--k-min and --k-max must be given together")
     k_range = None if args.k_min is None else (args.k_min, args.k_max)
-    result = pipeline.binomial_analysis(table, k_range=k_range, tau=Fraction(str(args.tau)))
+    result = pipeline.binomial_analysis(table, k_range=k_range, tau=args.tau)
     doc = {"dataset": ds.name, "table": label, **pipeline.binomial_json(result)}
     def text():
         one_in = sig6(result.one_in_n) if result.one_in_n is not None else "infinite"
@@ -378,8 +377,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = command("binomial", cmd_binomial, "draws-with-replacement tail model")
     p.add_argument("--stratum", help="analyze this stratum instead of the pooled table")
-    p.add_argument("--tau", type=float, default=0.05,
-                   help="tail threshold for the crossing report (default 0.05)")
+    p.add_argument("--tau", default="0.05", help="tail threshold for the crossing report, "
+                   "read exactly, as 0.05, 1e-400 or 1/3 (default %(default)s)")
     p.add_argument("--k-min", type=int)
     p.add_argument("--k-max", type=int)
 

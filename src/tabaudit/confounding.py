@@ -19,7 +19,6 @@ from .association import (
     flattened_volume_ratio,
     nominal_correlation,
     odds_ratio,
-    stratum_correlations,
 )
 from .tables import StratifiedTable, collapse
 
@@ -68,14 +67,12 @@ class CollapseComparison:
     stratum_values: tuple[tuple[str, NominalCorrelationResult], ...]
     pooled: NominalCorrelationResult
     flattened_ratio: float | None
-    stratum_deltas: tuple[tuple[str, float], ...]
     composite_drop: float | None
 
 
 def collapse_comparison(s: StratifiedTable) -> CollapseComparison:
-    per_stratum = tuple(stratum_correlations(s))
+    per_stratum = tuple((label, nominal_correlation(t)) for label, t in s.strata)
     pooled = nominal_correlation(collapse(s))
     flattened = flattened_volume_ratio(s) if len(s.strata) >= 2 else None
-    deltas = tuple((label, r.value - pooled.value) for label, r in per_stratum)
     drop = None if flattened is None else flattened - pooled.value
-    return CollapseComparison(per_stratum, pooled, flattened, deltas, drop)
+    return CollapseComparison(per_stratum, pooled, flattened, drop)

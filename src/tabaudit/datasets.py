@@ -148,22 +148,21 @@ def from_json_dict(doc: Mapping, source: str = "<json>") -> StratifiedTable:
     return StratifiedTable(tuple(strata), name=name)
 
 
+def _read_text(path: Path) -> str:
+    """The file's text as UTF-8 whatever the locale; a bad byte is an input error."""
+    try:
+        return path.read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise DatasetFormatError(f"{path}: not UTF-8 at byte {exc.start} ({exc.reason})") from None
+
+
 def load_json(path: str | Path) -> StratifiedTable:
     path = Path(path)
     try:
-        doc = json.loads(path.read_text())
+        doc = json.loads(_read_text(path))
     except json.JSONDecodeError as exc:
         raise DatasetFormatError(f"{path}:{exc.lineno}: invalid JSON: {exc.msg}") from None
     return from_json_dict(doc, source=str(path))
-
-
-def to_csv_text(s: StratifiedTable) -> str:
-    out = io.StringIO()
-    writer = csv.writer(out, lineterminator="\n")
-    writer.writerow(["stratum", "a", "b", "c", "d"])
-    for label, t in s.strata:
-        writer.writerow([label, t.a, t.b, t.c, t.d])
-    return out.getvalue()
 
 
 def from_csv_text(text: str, name: str = "", source: str = "<csv>") -> StratifiedTable:
@@ -199,7 +198,7 @@ def from_csv_text(text: str, name: str = "", source: str = "<csv>") -> Stratifie
 
 def load_csv(path: str | Path) -> StratifiedTable:
     path = Path(path)
-    return from_csv_text(path.read_text(), name=path.stem, source=str(path))
+    return from_csv_text(_read_text(path), name=path.stem, source=str(path))
 
 
 def load_path(path: str | Path) -> StratifiedTable:

@@ -180,11 +180,6 @@ class HypergeomParams:
         if not lo <= x <= hi:
             raise SupportError(f"observed {x} outside support [{lo}, {hi}]")
 
-    @property
-    def support(self) -> range:
-        lo = max(0, self.draws + self.successes - self.population)
-        return range(lo, min(self.draws, self.successes) + 1)
-
 
 def _hyper_count(population: int, draws: int, successes: int, x: int) -> int:
     """Number of draws with exactly ``x`` successes: the pmf numerator."""

@@ -15,7 +15,7 @@ step (see :mod:`tabaudit.references`), never as report content.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Sequence
 
@@ -52,12 +52,18 @@ class FisherPipelineResult:
     exceeds_one: bool
 
 
-def fisher_pipeline(
-    s: StratifiedTable, n_nurses: int = datasets.DEFAULT_N_NURSES, mode: str = "stratified"
-) -> FisherPipelineResult:
+def _roster_size(n_nurses) -> int:
+    """``n_nurses`` as an int >= 1: the roster check of ``fisher_pipeline`` and ``replicate``."""
     n_nurses = _as_int(n_nurses, "n_nurses")
     if n_nurses < 1:
         raise ValueError(f"n_nurses must be >= 1, got {n_nurses}")
+    return n_nurses
+
+
+def fisher_pipeline(
+    s: StratifiedTable, n_nurses: int = datasets.DEFAULT_N_NURSES, mode: str = "stratified"
+) -> FisherPipelineResult:
+    n_nurses = _roster_size(n_nurses)
     if mode == "stratified":
         tails = tuple((label, fisher_upper_tail(t)) for label, t in s.strata)
     elif mode == "collapsed":
@@ -114,7 +120,7 @@ def null_rate(t: Table2x2) -> Fraction:
 def binomial_analysis(
     t: Table2x2,
     k_range: tuple[int, int] | None = None,
-    tau: Fraction | float = Fraction(1, 20),
+    tau: Fraction | float | str = Fraction(1, 20),
 ) -> BinomialAnalysisResult:
     tau = _as_number(tau, "tau")
     if not 0 < tau <= 1:
@@ -158,8 +164,6 @@ class AnalysisReport:
     rates: RateTable
     simpson: dict[str, SimpsonVerdict | None]            # None for single-stratum data
     binomial: dict[str, BinomialAnalysisResult]
-    multiway_reference: dict[str, float | None]
-    notes: tuple[str, ...] = field(default_factory=tuple)
 
     def to_json_dict(self) -> dict:
         return report_json(self)
@@ -199,31 +203,18 @@ def replicate(
                 f"unknown dataset {name!r} (available: {', '.join(sorted(registry))})"
             ) from None
 
-    n_nurses = _as_int(n_nurses, "n_nurses")
-    correlations: dict[str, CollapseComparison] = {}
-    fisher: dict[str, dict[str, FisherPipelineResult]] = {}
-    simpson: dict[str, SimpsonVerdict | None] = {}
-    binomial: dict[str, BinomialAnalysisResult] = {}
-    multiway: dict[str, float | None] = {}
-    for name, ds in zip(names, resolved):
-        correlations[name] = collapse_comparison(ds)
-        fisher[name] = {
-            mode: fisher_pipeline(ds, n_nurses, mode)
-            for mode in ("stratified", "collapsed")
-        }
-        simpson[name] = simpson_check(ds) if len(ds.strata) >= 2 else None
-        binomial[name] = binomial_analysis(collapse(ds), k_range=REPLICATE_K_RANGES.get(name))
-        multiway[name] = datasets.MULTIWAY_REFERENCE.get(name)
+    n_nurses = _roster_size(n_nurses)
+    pairs = tuple(zip(names, resolved))
     return AnalysisReport(
         dataset_names=tuple(names),
         n_nurses=n_nurses,
-        correlations=correlations,
-        fisher=fisher,
+        correlations={name: collapse_comparison(ds) for name, ds in pairs},
+        fisher={name: {mode: fisher_pipeline(ds, n_nurses, mode)
+                       for mode in ("stratified", "collapsed")} for name, ds in pairs},
         rates=rate_table(resolved),
-        simpson=simpson,
-        binomial=binomial,
-        multiway_reference=multiway,
-        notes=_REPORT_NOTES,
+        simpson={name: simpson_check(ds) if len(ds.strata) >= 2 else None for name, ds in pairs},
+        binomial={name: binomial_analysis(collapse(ds), k_range=REPLICATE_K_RANGES.get(name))
+                  for name, ds in pairs},
     )
 
 
@@ -342,7 +333,7 @@ def report_json(report: AnalysisReport) -> dict:
             name: {
                 **comparison_json(comp),
                 "composite_drop": float_json(comp.composite_drop),
-                "multiway_reference": report.multiway_reference.get(name),
+                "multiway_reference": datasets.MULTIWAY_REFERENCE.get(name),
             }
             for name, comp in report.correlations.items()
         },
@@ -356,7 +347,7 @@ def report_json(report: AnalysisReport) -> dict:
             for name, verdict in report.simpson.items()
         },
         "binomial": {name: binomial_json(r) for name, r in report.binomial.items()},
-        "notes": list(report.notes),
+        "notes": list(_REPORT_NOTES),
     }
 
 
@@ -420,5 +411,5 @@ def report_text(report: AnalysisReport) -> str:
         )
         blocks.append(head + "\n" + text_table(["cases", "P(X >= k)"], rows) + "\n" + tail)
 
-    blocks.append("Notes\n" + "\n".join(f"  - {n}" for n in report.notes))
+    blocks.append("Notes\n" + "\n".join(f"  - {n}" for n in _REPORT_NOTES))
     return "\n\n".join(blocks) + "\n"

@@ -25,7 +25,8 @@ class Check:
 
     ``path`` walks the report JSON: a string step reads that key, a dict step
     picks the list row whose fields match it. A path that ends at a
-    ``"fraction"`` reads the exact value that text writes.
+    ``"fraction"`` reads the exact value that text writes; text that writes
+    no rational is compared as it is, and fails.
     """
 
     key: str
@@ -43,7 +44,12 @@ def _get(doc, path):
                 raise KeyError(f"no row matching {step}")
         else:
             doc = doc[step]
-    return Fraction(doc) if path[-1] == "fraction" else doc
+    if path[-1] == "fraction":
+        try:
+            return Fraction(doc)
+        except (ValueError, ZeroDivisionError):   # text such as "x" or "1/0"
+            pass
+    return doc
 
 
 def _checks() -> list[Check]:
@@ -146,6 +152,7 @@ def check_report_json(doc: dict) -> list[str]:
     """Compare a report JSON document against the stored reference values.
 
     Returns one message per failing check; an empty list means full agreement.
+    A value of a type the check cannot compare fails, and its message names the type.
     """
     failures = []
     for check in REFERENCE_CHECKS:
@@ -154,12 +161,17 @@ def check_report_json(doc: dict) -> list[str]:
         except (KeyError, TypeError) as exc:
             failures.append(f"{check.key}: missing from report ({exc})")
             continue
-        if check.kind == "rel":
-            ok = got is not None and abs(got - check.expected) <= REL_TOL * abs(check.expected)
-        elif check.kind == "exact":
-            ok = got == check.expected
-        else:
-            ok = got is check.expected
+        try:
+            if check.kind == "rel":
+                ok = got is not None and abs(got - check.expected) <= REL_TOL * abs(check.expected)
+            elif check.kind == "exact":
+                ok = got == check.expected
+            else:
+                ok = got is check.expected
+        except TypeError:   # a value that is not a number
+            failures.append(f"{check.key}: got {got!r} of type {type(got).__name__}, "
+                            f"want {check.expected!r}")
+            continue
         if not ok:
             failures.append(f"{check.key}: got {got!r}, want {check.expected!r}")
     return failures

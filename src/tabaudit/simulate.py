@@ -25,7 +25,6 @@ the exact paths never load it.
 from __future__ import annotations
 
 import csv
-import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -99,25 +98,6 @@ class SimulationSpec:
             value = getattr(self, field)
             doc[field] = str(value) if field == "rate" else value
         return doc
-
-    @classmethod
-    def from_json(cls, text: str) -> "SimulationSpec":
-        """The spec in ``text``; any text that is not one raises ``ValueError``."""
-        try:
-            doc = json.loads(text)
-        except RecursionError:
-            raise ValueError("simulation spec is nested too deeply") from None
-        if not isinstance(doc, dict):
-            raise ValueError(f"a simulation spec is a JSON object, got {type(doc).__name__}")
-        return cls(   # a missing field is None, which validation refuses by name
-            model=doc.get("model"),
-            trials=doc.get("trials"),
-            seed=doc.get("seed"),
-            draws=doc.get("draws"),
-            rate=doc.get("rate"),
-            population=doc.get("population"),
-            successes=doc.get("successes"),
-        )
 
 
 @dataclass(frozen=True)

@@ -89,20 +89,6 @@ class Table2x2:
         return Table2x2(self.a, self.c, self.b, self.d,
                         row_labels=self.col_labels, col_labels=self.row_labels)
 
-    def bordered(self) -> list[list[int]]:
-        """The 3x3 form with sum row and sum column appended."""
-        return [
-            [self.a, self.b, self.row1],
-            [self.c, self.d, self.row2],
-            [self.col1, self.col2, self.total],
-        ]
-
-    def scale(self, factor: int) -> "Table2x2":
-        """Multiply every cell by a non-negative integer."""
-        f = _as_count(factor, "scale factor")
-        return Table2x2(self.a * f, self.b * f, self.c * f, self.d * f,
-                        row_labels=self.row_labels, col_labels=self.col_labels)
-
 
 class MarginSummary(NamedTuple):
     row_sums: tuple[int, int]
@@ -200,17 +186,14 @@ class DatasetDiff:
     """Signed per-cell differences between two stratified tables (b minus a).
 
     ``suspect_incident_delta`` and ``other_incident_delta`` summarize how many
-    column-1 events moved into or out of each row across all strata; applying
-    the diff to the first dataset reproduces the second exactly.
+    column-1 events moved into or out of each row across all strata; adding
+    the cell deltas to the first dataset reproduces the second exactly.
     """
 
     strata: tuple[StratumDelta, ...]
     suspect_incident_delta: int
     other_incident_delta: int
     total_delta: int
-
-    def is_zero(self) -> bool:
-        return all(delta.cells == ((0, 0), (0, 0)) for delta in self.strata)
 
 
 def diff(a: StratifiedTable, b: StratifiedTable) -> DatasetDiff:
@@ -234,18 +217,6 @@ def diff(a: StratifiedTable, b: StratifiedTable) -> DatasetDiff:
         other_incident_delta=sum(d.cells[1][0] for d in deltas),
         total_delta=sum(d.total for d in deltas),
     )
-
-
-def apply_diff(a: StratifiedTable, delta: DatasetDiff) -> StratifiedTable:
-    """Apply a diff to ``a``; inverse of ``diff(a, b)`` in its second argument."""
-    if a.labels != tuple(d.label for d in delta.strata):
-        raise TableValidationError("diff stratum labels do not match the dataset")
-    strata = []
-    for (label, t), d in zip(a.strata, delta.strata):
-        (da, db), (dc, dd) = d.cells
-        strata.append((label, Table2x2(t.a + da, t.b + db, t.c + dc, t.d + dd,
-                                       row_labels=t.row_labels, col_labels=t.col_labels)))
-    return StratifiedTable(tuple(strata), name=a.name)
 
 
 def validate(

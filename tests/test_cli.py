@@ -9,6 +9,7 @@ import sys
 
 import pytest
 
+from conftest import to_csv_text
 from tabaudit import datasets, pipeline
 from tabaudit.cli import build_parser, main
 from tabaudit.tables import StratifiedTable, Table2x2
@@ -86,6 +87,16 @@ class TestAnalyze:
         assert code == 3
         assert "negative" in err
 
+    @pytest.mark.parametrize("suffix, data, at, reason", [
+        (".csv", b"\xffJKZ,8,134,0,887\n", 0, "invalid start byte"),
+        (".json", b'{"name": "w\xe9rd"}', 11, "invalid continuation byte"),
+    ], ids=["csv", "json"])
+    def test_undecodable_file_is_an_input_error(self, capsys, tmp_path, suffix, data, at, reason):
+        path = tmp_path / f"latin1{suffix}"
+        path.write_bytes(data)
+        code, _, err = run_cli(capsys, "analyze", "--input", str(path))
+        assert (code, err) == (2, f"error: {path}: not UTF-8 at byte {at} ({reason})\n")
+
     def test_missing_file(self, capsys, tmp_path):
         code, _, err = run_cli(capsys, "analyze", "--input", str(tmp_path / "nope.json"))
         assert code == 2
@@ -100,7 +111,7 @@ class TestAnalyze:
 
     def test_csv_input(self, capsys, tmp_path):
         path = tmp_path / "wards.csv"
-        path.write_text(datasets.to_csv_text(datasets.get("original")))
+        path.write_text(to_csv_text(datasets.get("original")))
         code, out, _ = run_cli(capsys, "analyze", "--input", str(path))
         assert code == 0
         assert "0.158169" in out
@@ -168,6 +179,21 @@ class TestBinomial:
                                "--stratum", "XYZ")
         assert code == 2
         assert "XYZ" in err
+
+    @pytest.mark.parametrize("tau, fraction", [
+        ("1e-400", "1/1" + "0" * 400),                     # a float reads 0
+        ("0.30000000000000001", "30000000000000001/100000000000000000"),   # a float reads 3/10
+        ("1/3", "1/3"),
+    ], ids=["1e-400", "0.30000000000000001", "1/3"])
+    def test_tau_is_read_exactly(self, capsys, tau, fraction):
+        code, out, _ = run_cli(capsys, "binomial", "--dataset", "derksen", "--tau", tau,
+                               "--format", "json")
+        assert code == 0
+        assert json.loads(out)["tau"] == fraction
+
+    def test_tau_that_is_not_a_number_is_named(self, capsys):
+        code, _, err = run_cli(capsys, "binomial", "--dataset", "derksen", "--tau", "nan")
+        assert (code, err) == (3, "error: tau must be a rational number, got 'nan'\n")
 
     def test_half_range_rejected(self, capsys):
         code, _, err = run_cli(capsys, "binomial", "--dataset", "derksen", "--k-min", "3")

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from conftest import json_values, stratified_tables
+from conftest import json_values, stratified_tables, to_csv_text
 from tabaudit import datasets
 from tabaudit.tables import TableValidationError, collapse
 
@@ -31,7 +31,7 @@ def corrupted_documents(draw):
 @st.composite
 def corrupted_csv(draw):
     """A valid dataset CSV with one slice replaced by arbitrary text."""
-    text = datasets.to_csv_text(draw(stratified_tables()))
+    text = to_csv_text(draw(stratified_tables()))
     i = draw(st.integers(0, len(text)))
     j = draw(st.integers(i, len(text)))
     return text[:i] + draw(st.text(max_size=4) | st.text(',"\r\n -01', max_size=4)) + text[j:]
@@ -150,14 +150,14 @@ class TestJsonRoundTrip:
 
 class TestCsvRoundTrip:
     def test_text_round_trip(self):
-        text = datasets.to_csv_text(datasets.get("original"))
+        text = to_csv_text(datasets.get("original"))
         assert text.splitlines()[0] == "stratum,a,b,c,d"
         back = datasets.from_csv_text(text, name="original")
         assert back.strata == datasets.get("original").strata
 
     def test_file_round_trip(self, tmp_path):
         path = tmp_path / "mydata.csv"
-        path.write_text(datasets.to_csv_text(datasets.get("derksen")))
+        path.write_text(to_csv_text(datasets.get("derksen")))
         loaded = datasets.load_csv(path)
         assert loaded.strata == datasets.get("derksen").strata
         assert loaded.name == "mydata"

@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 from scipy import stats
 
 import comb_oracle as oracle
-from conftest import rel_close, tables
+from conftest import rel_close, support, tables
 from tabaudit import exact
 from tabaudit.exact import (
     BinomialParams,
@@ -86,7 +86,7 @@ class TestHypergeomPmf:
                                                    max(0, draws + successes - population))
                     total = sum(
                         hypergeom_pmf(HypergeomParams(population, draws, successes, x))
-                        for x in params_range.support
+                        for x in support(params_range)
                     )
                     assert total == 1
 

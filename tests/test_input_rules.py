@@ -3,16 +3,15 @@ bad one with the same error, because each rule is checked in one place."""
 
 from __future__ import annotations
 
-import json
 import random
 import re
 from fractions import Fraction
 
 import pytest
 
-from tabaudit import exact
+from tabaudit import datasets, exact
 from tabaudit.exact import HypergeomParams, hypergeom_upper_tail
-from tabaudit.pipeline import replicate
+from tabaudit.pipeline import fisher_pipeline, replicate
 from tabaudit.simulate import SimulationSpec, simulate_heterogeneous, simulate_tail
 from tabaudit.tables import Table2x2, TableValidationError, validate
 
@@ -31,8 +30,7 @@ def simulation_entry_points(field, value):
                                             spec["trials"], spec["seed"]),
              lambda: simulate_tail(SimulationSpec(**spec), k)]
     if field != "threshold":   # a spec holds no threshold
-        calls += [lambda: SimulationSpec(**spec),
-                  lambda: SimulationSpec.from_json(json.dumps(spec))]
+        calls.append(lambda: SimulationSpec(**spec))
     return calls
 
 
@@ -140,6 +138,23 @@ def test_bare_string_is_not_a_label_pair(field):
 def test_replicate_refuses_a_repeated_dataset(names):
     with pytest.raises(ValueError, match=f"^dataset {names[0]!r} named twice$"):
         replicate(names)
+
+
+@pytest.mark.parametrize("nurses, message", [
+    (0, "n_nurses must be >= 1, got 0"),
+    (-27, "n_nurses must be >= 1, got -27"),
+    (True, "n_nurses must be an integer, got True"),
+    (2.5, "n_nurses must be an integer, got 2.5"),
+], ids=["zero", "negative", "bool", "float"])
+def test_roster_size(nurses, message):
+    # replicate used to check only through fisher_pipeline, so a report of no
+    # datasets carried a roster of 0 nurses
+    shops = datasets.get("shops")
+    for call in (lambda: fisher_pipeline(shops, nurses),
+                 lambda: replicate(("shops",), n_nurses=nurses),
+                 lambda: replicate((), n_nurses=nurses)):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            call()
 
 
 def test_rate_text_is_read_by_decimal_once(monkeypatch):

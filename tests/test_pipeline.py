@@ -12,6 +12,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from conftest import rel_close, stratified_tables
+from decimal_oracle import read_int
 from tabaudit import datasets, references
 from tabaudit.pipeline import (
     binomial_analysis,
@@ -213,6 +214,18 @@ class TestReplicate:
             "original binomial tail >= 3: missing from report "
             "(\"no row matching {'threshold': 3}\")"]
 
+    def test_value_of_the_wrong_type_is_a_failed_check(self):
+        doc = replicate().to_json_dict()
+        doc["correlations"]["original"]["pooled"]["value"] = "x"
+        doc["simpson"]["shops"]["pooled_odds"]["fraction"] = "x"
+        doc["fisher"]["original"]["stratified"]["stratum_tails"][1]["fraction"] = "1/0"
+        doc["binomial"]["derksen"]["one_in_n"]["value"] = [86.9055]
+        assert references.check_report_json(doc) == [
+            "original pooled correlation: got 'x' of type str, want 0.158169",
+            "shops pooled odds ratio: got 'x', want Fraction(49, 81)",
+            "original RKZ1 Fisher tail (exact): got '1/0', want Fraction(5, 366)",
+            "derksen binomial one-in-N: got [86.9055] of type list, want 86.9055"]
+
     def test_mutated_registry_fails_verification(self):
         tampered = dict(datasets.EMBEDDED)
         strata = list(tampered["original"].strata)
@@ -321,20 +334,21 @@ class TestExactJson:
         r = binomial_analysis(Table2x2(125, 9875, 901, 89099))
         doc = binomial_json(r)
         assert len(doc["rows"]) == len(r.tails.rows) == 127
-        text = functools.cache(str)   # str() is quadratic; many rows share a denominator
-        limit = sys.get_int_max_str_digits()
-        sys.set_int_max_str_digits(0)
-        try:
-            for entry, row in zip(doc["rows"], r.tails.rows):
-                assert entry["threshold"] == row.threshold
-                assert entry["fraction"] == (text(row.numerator) if row.denominator == 1
-                                             else f"{text(row.numerator)}/{text(row.denominator)}")
-            assert len(str(r.tails.scale)) > 49_000
-            for key, exact in (("tail_at_k_obs", r.tail_at_k_obs), ("one_in_n", r.one_in_n)):
-                assert doc[key]["fraction"] == str(exact)
-                assert doc[key]["value"] == float(exact)
-        finally:
-            sys.set_int_max_str_digits(limit)
+        # read_int takes only canonical text, so equal ints mean each text is
+        # str() of its int, checked without str()'s quadratic time
+        read = functools.cache(read_int)   # many rows share a denominator
+
+        def fraction(text):
+            num, slash, den = text.partition("/")
+            return read(num), read(den) if slash else 1
+
+        for entry, row in zip(doc["rows"], r.tails.rows):
+            assert entry["threshold"] == row.threshold
+            assert fraction(entry["fraction"]) == (row.numerator, row.denominator)
+        assert r.tails.scale > 10**49_000
+        for key, exact in (("tail_at_k_obs", r.tail_at_k_obs), ("one_in_n", r.one_in_n)):
+            assert fraction(doc[key]["fraction"]) == (exact.numerator, exact.denominator)
+            assert doc[key]["value"] == float(exact)
 
     @pytest.mark.parametrize("t, k_range", [
         (Table2x2(0, 9, 0, 11), None),          # the row is 1
