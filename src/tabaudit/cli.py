@@ -6,6 +6,14 @@ byte-identical for identical invocations (the simulator is seeded). Exit
 codes: 0 success, 2 input error, 3 analysis/validation error, 4 replication
 mismatch. The argument parser is built once per process and shared by every
 ``main`` call; text output is rendered only for ``--format text``.
+
+``main`` is the one path from input to output. It loads the dataset and, for
+binomial, simulate and svg, the ``--stratum`` or pooled table, and passes it
+with the text head (``dataset: NAME`` or ``dataset: NAME (TABLE)``) to
+``cmd_NAME(args, input, head)``; ``replicate`` and ``diff`` take only ``args``.
+Each returns ``(doc, text)``: its JSON document and a function that renders
+its text. ``main`` puts ``"dataset"`` and ``"table"`` first in the document,
+writes it once, and exits 4 if its ``verification`` failed.
 """
 
 from __future__ import annotations
@@ -35,42 +43,9 @@ class CliInputError(Exception):
 
 
 #: Errors in the invocation or its input source (exit code 2). Every other
-#: ValueError or KeyError, TableValidationError and SupportError among them, is
-#: an analysis or validation error (exit code 3).
+#: ValueError, TableValidationError and SupportError among them, is an analysis
+#: or validation error (exit code 3). Any other KeyError is a bug and surfaces.
 _INPUT_ERRORS = (CliInputError, datasets.DatasetFormatError, datasets.UnknownDatasetError)
-
-
-def _add_source_args(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--dataset", help="embedded dataset name "
-                   f"({', '.join(datasets.available())})")
-    p.add_argument("--input", help="path to a .json or .csv dataset file")
-    p.add_argument("--transpose", action="store_true",
-                   help="swap rows and columns of every stratum")
-
-
-def _add_output_args(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--format", choices=("text", "json", "csv"), default="text")
-    p.add_argument("--out", help="write output to this file instead of stdout")
-
-
-def _resolve_source(args) -> StratifiedTable:
-    if bool(args.dataset) == bool(args.input):
-        raise CliInputError("exactly one of --dataset or --input is required")
-    if args.dataset:
-        ds = datasets.get(args.dataset)
-    else:
-        ds = datasets.load_path(args.input)
-    return ds.transpose() if args.transpose else ds
-
-
-def _select_table(ds: StratifiedTable, stratum: str | None):
-    if stratum is None:
-        return collapse(ds), pipeline.POOLED_LABEL
-    try:
-        return ds.get(stratum), stratum
-    except KeyError:
-        raise CliInputError(
-            f"stratum {stratum!r} not in dataset (has: {', '.join(ds.labels)})") from None
 
 
 def _figure(table):
@@ -126,17 +101,15 @@ def _emit(args, text: Callable[[], str], doc: dict) -> None:
 
 
 # ---------------------------------------------------------------------------
-# subcommands
+# subcommands: each returns (doc, text)
 
-def cmd_analyze(args) -> int:
-    ds = _resolve_source(args)
+def cmd_analyze(args, ds: StratifiedTable, head: str):
     comp = collapse_comparison(ds)
     odds = [(label, odds_ratio(t)) for label, t in ds.strata]
     pooled_odds = odds_ratio(collapse(ds))
     rates = rate_table([ds])
 
     doc = {
-        "dataset": ds.name,
         "correlations": pipeline.comparison_json(comp),
         "odds": {
             "strata": pipeline.per_stratum_json(odds, pipeline.odds_json),
@@ -150,8 +123,7 @@ def cmd_analyze(args) -> int:
         rows.append(["pooled", sig6(comp.pooled.value)])
         if comp.flattened_ratio is not None:
             rows.append(["flattened composite", sig6(comp.flattened_ratio)])
-        blocks = [f"dataset: {ds.name or '(unnamed)'}",
-                  "Nominal correlation\n" + text_table(["stratum", "value"], rows)]
+        blocks = [head, "Nominal correlation\n" + text_table(["stratum", "value"], rows)]
         rows = [[lab, str(o)] for lab, o in odds] + [["pooled", str(pooled_odds)]]
         blocks.append("Odds ratios\n" + text_table(["stratum", "odds ratio"], rows))
         rows = [row[1:] for row in pipeline.rate_rows(rates)]
@@ -159,73 +131,53 @@ def cmd_analyze(args) -> int:
                       + text_table(["stratum", "group", "rate"], rows))
         return "\n\n".join(blocks)
 
-    _emit(args, text, doc)
-    return 0
+    return doc, text
 
 
-def cmd_fisher(args) -> int:
-    ds = _resolve_source(args)
+def cmd_fisher(args, ds: StratifiedTable, head: str):
     result = pipeline.fisher_pipeline(ds, args.nurses, args.mode)
-    doc = {"dataset": ds.name, **pipeline.fisher_json(result)}
-    def text():
-        rows = [[lab, sig6(tail)] for lab, tail in result.stratum_tails]
-        return (
-            f"dataset: {ds.name or '(unnamed)'} (mode {result.mode}, nurses {result.n_nurses})\n"
-            + "Exact upper tails\n" + text_table(["stratum", "P(X >= a)"], rows)
-            + f"\n\nproduct {sig6(result.product)}"
-            + f"\ncorrected (x {result.n_nurses}) {sig6(result.corrected)}"
-            + (" [exceeds 1]" if result.exceeds_one else "")
-            + f"\none in N: {sig6(result.one_in_n)}"
-        )
-
-    _emit(args, text, doc)
-    return 0
+    return pipeline.fisher_json(result), lambda: (
+        f"{head} (mode {result.mode}, nurses {result.n_nurses})\nExact upper tails\n"
+        + text_table(["stratum", "P(X >= a)"],
+                     [[lab, sig6(tail)] for lab, tail in result.stratum_tails])
+        + f"\n\nproduct {sig6(result.product)}"
+        + f"\ncorrected (x {result.n_nurses}) {sig6(result.corrected)}"
+        + (" [exceeds 1]" if result.exceeds_one else "")
+        + f"\none in N: {sig6(result.one_in_n)}"
+    )
 
 
-def cmd_binomial(args) -> int:
-    ds = _resolve_source(args)
-    table, label = _select_table(ds, args.stratum)
+def cmd_binomial(args, table, head: str):
     if (args.k_min is None) != (args.k_max is None):
         raise CliInputError("--k-min and --k-max must be given together")
     k_range = None if args.k_min is None else (args.k_min, args.k_max)
     result = pipeline.binomial_analysis(table, k_range=k_range, tau=args.tau)
-    doc = {"dataset": ds.name, "table": label, **pipeline.binomial_json(result)}
-    def text():
-        one_in = sig6(result.one_in_n) if result.one_in_n is not None else "infinite"
-        return (
-            f"dataset: {ds.name or '(unnamed)'} ({label}); draws {result.draws}, "
-            f"null rate {result.null_rate} = {sig6(result.null_rate)}\n"
-            + text_table(["cases", "P(X >= k)"], pipeline.tail_rows(result.tails))
-            + f"\n\nobserved {result.k_obs}: tail {sig6(result.tail_at_k_obs)}, one in {one_in}"
-            + f"\nexpected count {sig6(result.expected)}; first tail < {result.tau}: "
-            + (str(result.k_star) if result.k_star is not None else "none in range")
-        )
-
-    _emit(args, text, doc)
-    return 0
+    return pipeline.binomial_json(result), lambda: (
+        f"{head}; draws {result.draws}, "
+        f"null rate {result.null_rate} = {sig6(result.null_rate)}\n"
+        + text_table(["cases", "P(X >= k)"], pipeline.tail_rows(result.tails))
+        + f"\n\nobserved {result.k_obs}: tail {sig6(result.tail_at_k_obs)}, one in "
+        + (sig6(result.one_in_n) if result.one_in_n is not None else "infinite")
+        + f"\nexpected count {sig6(result.expected)}; first tail < {result.tau}: "
+        + (str(result.k_star) if result.k_star is not None else "none in range")
+    )
 
 
-def cmd_simpson(args) -> int:
-    ds = _resolve_source(args)
+def cmd_simpson(args, ds: StratifiedTable, head: str):
     verdict = simpson_check(ds)
-    doc = {"dataset": ds.name, **pipeline.simpson_json(verdict)}
-    def text():
-        odds = (*verdict.stratum_odds, ("pooled", verdict.pooled_odds))
-        rows = [[lab, str(o), o.versus_one()] for lab, o in odds]
-        return (
-            f"dataset: {ds.name or '(unnamed)'}\n"
-            + text_table(["stratum", "odds ratio", "side"], rows)
-            + f"\n\nparadox: {str(verdict.paradox).lower()}"
-            + (f" ({verdict.note})" if verdict.note else "")
-        )
-
-    _emit(args, text, doc)
-    return 0
+    odds = (*verdict.stratum_odds, ("pooled", verdict.pooled_odds))
+    return pipeline.simpson_json(verdict), lambda: (
+        f"{head}\n"
+        + text_table(["stratum", "odds ratio", "side"],
+                     [[lab, str(o), o.versus_one()] for lab, o in odds])
+        + f"\n\nparadox: {str(verdict.paradox).lower()}"
+        + (f" ({verdict.note})" if verdict.note else "")
+    )
 
 
-def cmd_replicate(args) -> int:
+def cmd_replicate(args):
     report = pipeline.replicate(n_nurses=args.nurses)
-    doc = report.to_json_dict()
+    doc = pipeline.report_json(report)
     failures = references.check_report_json(doc)
     doc["verification"] = {"passed": not failures, "failures": failures}
 
@@ -238,57 +190,39 @@ def cmd_replicate(args) -> int:
 
     summary = ("all replication checks passed"
                if not failures else "REPLICATION MISMATCH:\n  " + "\n  ".join(failures))
-    _emit(args, lambda: report.to_text() + "\n" + summary, doc)
-    if failures:
-        print(f"error: {len(failures)} replication check(s) failed", file=sys.stderr)
-        return 4
-    return 0
+    return doc, lambda: pipeline.report_text(report) + "\n" + summary
 
 
-def cmd_simulate(args) -> int:
-    ds = _resolve_source(args)
-    table, label = _select_table(ds, args.stratum)
-    if args.model == "binomial":
-        spec = simulate.SimulationSpec(
-            model="binomial", trials=args.trials, seed=args.seed,
-            draws=table.row1, rate=pipeline.null_rate(table),
-        )
-    else:
-        spec = simulate.SimulationSpec(
-            model="hypergeometric", trials=args.trials, seed=args.seed,
-            draws=table.row1, population=table.total, successes=table.col1,
-        )
+def cmd_simulate(args, table, head: str):
     k = args.threshold if args.threshold is not None else table.a
-    result = simulate.simulate_tail(spec, k)
-    if spec.model == "binomial":
+    common = {"trials": args.trials, "seed": args.seed, "draws": table.row1}
+    if args.model == "binomial":
+        spec = simulate.SimulationSpec(model="binomial", rate=pipeline.null_rate(table), **common)
         exact = binomial_upper_tail(BinomialParams(spec.draws, spec.rate), k)
     else:
+        spec = simulate.SimulationSpec(model="hypergeometric", population=table.total,
+                                       successes=table.col1, **common)
         exact = hypergeom_upper_tail(spec.population, spec.draws, spec.successes, k)
+    result = simulate.simulate_tail(spec, k)
     if args.log:
         simulate.append_log(args.log, spec, k, result)
     doc = {
-        "dataset": ds.name, "table": label, "spec": spec.to_json_dict(), "threshold": k,
+        "spec": spec.to_json_dict(), "threshold": k,
         "estimate": result.estimate, "stderr": result.stderr,
         "interval": list(result.interval), "hits": result.hits,
         "exact": exact_json(exact),
     }
-    _emit(args, lambda: (
-        f"dataset: {ds.name or '(unnamed)'} ({label}); model {spec.model}, "
-        f"trials {spec.trials}, seed {spec.seed}\n"
+    return doc, lambda: (
+        f"{head}; model {spec.model}, trials {spec.trials}, seed {spec.seed}\n"
         f"P(X >= {k}) estimate {sig6(result.estimate)} (stderr {sig6(result.stderr)})\n"
         f"3-sigma interval [{sig6(result.interval[0])}, {sig6(result.interval[1])}]\n"
         f"exact {sig6(exact)}"
-    ), doc)
-    return 0
+    )
 
 
-def cmd_svg(args) -> int:
-    ds = _resolve_source(args)
-    table, label = _select_table(ds, args.stratum)
+def cmd_svg(args, table, head: str):
     corr, fig, caption, svg = _figure(table)
     doc = {
-        "dataset": ds.name,
-        "table": label,
         "correlation": float_json(corr.value),
         "parallelogram_area": fig.parallelogram_area,
         "rect_area": fig.rect_area,
@@ -296,8 +230,7 @@ def cmd_svg(args) -> int:
         "caption": list(caption),
         "svg": svg,
     }
-    _emit(args, lambda: svg, doc)
-    return 0
+    return doc, lambda: svg
 
 
 def _resolve_named(name: str) -> StratifiedTable:
@@ -309,7 +242,7 @@ def _resolve_named(name: str) -> StratifiedTable:
     raise CliInputError(f"{name!r} is neither an embedded dataset nor an existing file")
 
 
-def cmd_diff(args) -> int:
+def cmd_diff(args):
     first = _resolve_named(args.first)
     second = _resolve_named(args.second)
     delta = diff(first, second)
@@ -330,6 +263,7 @@ def cmd_diff(args) -> int:
         "other_incident_delta": delta.other_incident_delta,
         "total_delta": delta.total_delta,
     }
+
     def text():
         rows = [
             [d.label, str(d.cells[0][0]), str(d.cells[0][1]), str(d.cells[1][0]),
@@ -344,8 +278,7 @@ def cmd_diff(args) -> int:
             f"grand total delta {delta.total_delta}"
         )
 
-    _emit(args, text, doc)
-    return 0
+    return doc, text
 
 
 # ---------------------------------------------------------------------------
@@ -360,11 +293,23 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def command(name, func, help_text, source=True):
+    def command(name, func, help_text, verb=None, lead=(), source=True):
+        """Add subcommand ``name``: the source options unless ``source`` is
+        false, the output options, the ``(flag, options)`` pairs of ``lead``,
+        and ``--stratum`` if ``verb`` says what the command does to one table."""
         p = sub.add_parser(name, help=help_text)
         if source:
-            _add_source_args(p)
-        _add_output_args(p)
+            p.add_argument("--dataset", help="embedded dataset name "
+                           f"({', '.join(datasets.available())})")
+            p.add_argument("--input", help="path to a .json or .csv dataset file")
+            p.add_argument("--transpose", action="store_true",
+                           help="swap rows and columns of every stratum")
+        p.add_argument("--format", choices=("text", "json", "csv"), default="text")
+        p.add_argument("--out", help="write output to this file instead of stdout")
+        for flag, options in lead:
+            p.add_argument(flag, **options)
+        if verb:
+            p.add_argument("--stratum", help=f"{verb} this stratum instead of the pooled table")
         p.set_defaults(func=func)
         return p
 
@@ -375,8 +320,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--nurses", type=int, default=datasets.DEFAULT_N_NURSES,
                    help="roster size for the post-hoc correction (default %(default)s)")
 
-    p = command("binomial", cmd_binomial, "draws-with-replacement tail model")
-    p.add_argument("--stratum", help="analyze this stratum instead of the pooled table")
+    p = command("binomial", cmd_binomial, "draws-with-replacement tail model", "analyze")
     p.add_argument("--tau", default="0.05", help="tail threshold for the crossing report, "
                    "read exactly, as 0.05, 1e-400 or 1/3 (default %(default)s)")
     p.add_argument("--k-min", type=int)
@@ -392,22 +336,19 @@ def build_parser() -> argparse.ArgumentParser:
                    "(default %(default)s)")
     p.add_argument("--figures", help="also write determinant SVG figures to this directory")
 
-    p = command("simulate", cmd_simulate, "seeded Monte Carlo check of a tail probability")
-    p.add_argument("--model", choices=("binomial", "hypergeometric"), default="binomial")
-    p.add_argument("--stratum", help="simulate this stratum instead of the pooled table")
+    p = command("simulate", cmd_simulate, "seeded Monte Carlo check of a tail probability",
+                "simulate", lead=[("--model", {"choices": ("binomial", "hypergeometric"),
+                                               "default": "binomial"})])
     p.add_argument("--trials", type=int, default=100_000)
     p.add_argument("--threshold", type=int, help="tail threshold k (default: observed count)")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--log", help="append model,seed,trials,k,estimate,stderr to this CSV file")
 
-    p = command("svg", cmd_svg, "determinant figure as a standalone SVG")
-    p.add_argument("--stratum", help="draw this stratum instead of the pooled table")
+    command("svg", cmd_svg, "determinant figure as a standalone SVG", "draw")
 
-    p = sub.add_parser("diff", help="cell-wise difference between two datasets")
+    p = command("diff", cmd_diff, "cell-wise difference between two datasets", source=False)
     p.add_argument("first", help="embedded dataset name or file path")
     p.add_argument("second", help="embedded dataset name or file path")
-    _add_output_args(p)
-    p.set_defaults(func=cmd_diff)
 
     return parser
 
@@ -415,13 +356,36 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        if "dataset" not in args:   # replicate and diff name their own inputs
+            doc, text = args.func(args)
+        else:
+            if bool(args.dataset) == bool(args.input):
+                raise CliInputError("exactly one of --dataset or --input is required")
+            ds = datasets.get(args.dataset) if args.dataset else datasets.load_path(args.input)
+            if args.transpose:
+                ds = ds.transpose()
+            first, head, source = {"dataset": ds.name}, f"dataset: {ds.name or '(unnamed)'}", ds
+            if "stratum" in args:   # binomial, simulate and svg read one table
+                label = pipeline.POOLED_LABEL if args.stratum is None else args.stratum
+                source = collapse(ds) if args.stratum is None else dict(ds.strata).get(label)
+                if source is None:
+                    raise CliInputError(
+                        f"stratum {label!r} not in dataset (has: {', '.join(ds.labels)})")
+                first["table"], head = label, f"{head} ({label})"
+            doc, text = args.func(args, source, head)
+            doc = {**first, **doc}
+        _emit(args, text, doc)
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (CliInputError, ValueError, KeyError) as exc:
+    except (ValueError, *_INPUT_ERRORS) as exc:
         print(f"error: {exc.args[0] if exc.args else exc}", file=sys.stderr)
         return 2 if isinstance(exc, _INPUT_ERRORS) else 3
+    failures = doc.get("verification", {}).get("failures")
+    if failures:
+        print(f"error: {len(failures)} replication check(s) failed", file=sys.stderr)
+        return 4
+    return 0
 
 
 def run() -> None:

@@ -162,6 +162,8 @@ def load_json(path: str | Path) -> StratifiedTable:
         doc = json.loads(_read_text(path))
     except json.JSONDecodeError as exc:
         raise DatasetFormatError(f"{path}:{exc.lineno}: invalid JSON: {exc.msg}") from None
+    except RecursionError:   # the decoder recurses once per nested array or object
+        raise DatasetFormatError(f"{path}: invalid JSON: nested too deeply") from None
     return from_json_dict(doc, source=str(path))
 
 

@@ -165,11 +165,8 @@ class AnalysisReport:
     simpson: dict[str, SimpsonVerdict | None]            # None for single-stratum data
     binomial: dict[str, BinomialAnalysisResult]
 
-    def to_json_dict(self) -> dict:
+    def to_json_dict(self) -> dict:   # the acceptance criteria read the report by this name
         return report_json(self)
-
-    def to_text(self) -> str:
-        return report_text(self)
 
 
 _REPORT_NOTES = (

@@ -15,6 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .association import POOLED_LABEL
+from .exact import _as_number
 
 REL_TOL = 1e-4
 
@@ -44,11 +45,6 @@ def _get(doc, path):
                 raise KeyError(f"no row matching {step}")
         else:
             doc = doc[step]
-    if path[-1] == "fraction":
-        try:
-            return Fraction(doc)
-        except (ValueError, ZeroDivisionError):   # text such as "x" or "1/0"
-            pass
     return doc
 
 
@@ -153,14 +149,21 @@ def check_report_json(doc: dict) -> list[str]:
 
     Returns one message per failing check; an empty list means full agreement.
     A value of a type the check cannot compare fails, and its message names the type.
+    A message quotes the report's own value, never a rational parsed from it.
     """
     failures = []
     for check in REFERENCE_CHECKS:
         try:
-            got = _get(doc, check.path)
+            raw = _get(doc, check.path)
         except (KeyError, TypeError) as exc:
             failures.append(f"{check.key}: missing from report ({exc})")
             continue
+        got = raw
+        if check.path[-1] == "fraction":   # read as the exact kernels read rate text
+            try:
+                got = _as_number(raw, "fraction")
+            except ValueError:   # "x", "1/0", or "1e-3000000" past the int digit limit
+                pass
         try:
             if check.kind == "rel":
                 ok = got is not None and abs(got - check.expected) <= REL_TOL * abs(check.expected)
@@ -169,9 +172,9 @@ def check_report_json(doc: dict) -> list[str]:
             else:
                 ok = got is check.expected
         except TypeError:   # a value that is not a number
-            failures.append(f"{check.key}: got {got!r} of type {type(got).__name__}, "
+            failures.append(f"{check.key}: got {raw!r} of type {type(raw).__name__}, "
                             f"want {check.expected!r}")
             continue
         if not ok:
-            failures.append(f"{check.key}: got {got!r}, want {check.expected!r}")
+            failures.append(f"{check.key}: got {raw!r}, want {check.expected!r}")
     return failures

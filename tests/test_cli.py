@@ -11,7 +11,7 @@ import pytest
 
 from conftest import to_csv_text
 from tabaudit import datasets, pipeline
-from tabaudit.cli import build_parser, main
+from tabaudit.cli import PROG, build_parser, main
 from tabaudit.tables import StratifiedTable, Table2x2
 
 
@@ -96,6 +96,12 @@ class TestAnalyze:
         path.write_bytes(data)
         code, _, err = run_cli(capsys, "analyze", "--input", str(path))
         assert (code, err) == (2, f"error: {path}: not UTF-8 at byte {at} ({reason})\n")
+
+    def test_deeply_nested_json_is_an_input_error(self, capsys, tmp_path):
+        path = tmp_path / "deep.json"
+        path.write_text("[" * 100_000)
+        code, _, err = run_cli(capsys, "analyze", "--input", str(path))
+        assert (code, err) == (2, f"error: {path}: invalid JSON: nested too deeply\n")
 
     def test_missing_file(self, capsys, tmp_path):
         code, _, err = run_cli(capsys, "analyze", "--input", str(tmp_path / "nope.json"))
@@ -398,6 +404,14 @@ class TestDiff:
 
 
 class TestEntryPoint:
+    def test_internal_key_error_is_not_an_exit_code(self, monkeypatch):
+        # only UnknownDatasetError is an input error; any other KeyError is a bug
+        def broken(*args):
+            raise KeyError("stratum")
+        monkeypatch.setattr(pipeline, "fisher_pipeline", broken)
+        with pytest.raises(KeyError, match="stratum"):
+            main(["fisher", "--dataset", "shops"])
+
     def test_module_invocation(self):
         proc = subprocess.run(
             [sys.executable, "-m", "tabaudit", "simpson", "--dataset", "shops"],
@@ -448,6 +462,30 @@ class TestEntryPoint:
             capture_output=True, text=True,
         )
         assert proc.returncode == 2
+
+
+# SHA-256 of the program's and each subcommand's --help at 80 columns, pinned
+# at tabaudit 0.1.0: the parser's options, their order and their help texts.
+HELP = {
+    "tabaudit": "7a352f89b81061169f0510f15da5e915c4f0f20368130abad48d32b471501272",
+    "analyze": "da6944acb507849e9e83eeef370fb3f8a365c75999c595620ab68749ed723794",
+    "fisher": "16f052893ab8641f678058861be2bdbf865a863af5a0beab7c55fb80150fbf94",
+    "binomial": "f79eaffd171cec2c7677e8a11efacdc0d0cd35bf98fc9685f1e53f52b292d3d8",
+    "simpson": "5f23012575bda97291b0d844817b1fa445fb563958359826407519bfa270481a",
+    "replicate": "4b91bd209225dfe704b31b7b89141b52c3e4cb97315143dee5b692bd8c042af0",
+    "simulate": "8c9d23081f2a5c0eebccc8ef188869995ef77518f8c6a665395d20b0516ebdcb",
+    "svg": "ef2057508429b7c67303adcff2d7ecc92f199154c0feedfa609bfb592c21d4f5",
+    "diff": "aadcda1578026b2cc3332838bbdc1d02990123ae032cc04e1e917fd685983d96",
+}
+
+
+@pytest.mark.parametrize("command", list(HELP))
+def test_help_digest(capsys, monkeypatch, command):
+    monkeypatch.setenv("COLUMNS", "80")
+    with pytest.raises(SystemExit) as exit_info:
+        main([*([] if command == PROG else [command]), "--help"])
+    assert exit_info.value.code == 0
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == HELP[command]
 
 
 # ---------------------------------------------------------------------------

@@ -19,6 +19,8 @@ from tabaudit.pipeline import (
     binomial_json,
     fisher_pipeline,
     replicate,
+    report_json,
+    report_text,
     tail_rows,
 )
 from tabaudit.exact import BinomialParams, binomial_upper_tail, tail_table
@@ -176,11 +178,11 @@ class TestBinomialAnalysis:
 class TestReplicate:
     def test_reference_checks_pass(self):
         report = replicate()
-        assert references.check_report_json(report.to_json_dict()) == []
+        assert references.check_report_json(report_json(report)) == []
 
     def test_empty_report(self):
         report = replicate(())
-        doc = report.to_json_dict()
+        doc = report_json(report)
         assert doc["datasets"] == []
         assert doc["correlations"] == {}
         assert doc["binomial"] == {}
@@ -191,31 +193,31 @@ class TestReplicate:
             replicate(("missing",))
 
     def test_shops_report_has_paradox(self):
-        doc = replicate(("shops",)).to_json_dict()
+        doc = report_json(replicate(("shops",)))
         assert doc["simpson"]["shops"]["paradox"] is True
 
     def test_single_stratum_has_no_simpson_check(self):
         ward = StratifiedTable((("W", Table2x2(3, 20, 5, 200)),), name="ward")
         report = replicate(["ward"], registry={"ward": ward})
-        assert report.to_json_dict()["simpson"] == {"ward": None}
-        assert "Simpson check\n  ward: single stratum, not applicable\n" in report.to_text()
+        assert report_json(report)["simpson"] == {"ward": None}
+        assert "Simpson check\n  ward: single stratum, not applicable\n" in report_text(report)
 
     def test_datasets_left_out_are_missing_from_verification(self):
-        failures = references.check_report_json(replicate(("shops",)).to_json_dict())
+        failures = references.check_report_json(report_json(replicate(("shops",))))
         assert failures[0] == "original pooled correlation: missing from report ('original')"
         assert all(": missing from report (" in f for f in failures)
         assert len(failures) == sum(not c.key.startswith("shops")
                                     for c in references.REFERENCE_CHECKS)
 
     def test_missing_row_is_named(self):
-        doc = replicate(("original", "derksen")).to_json_dict()
+        doc = report_json(replicate(("original", "derksen")))
         del doc["binomial"]["original"]["rows"][0]
         assert [f for f in references.check_report_json(doc) if "no row" in f] == [
             "original binomial tail >= 3: missing from report "
             "(\"no row matching {'threshold': 3}\")"]
 
     def test_value_of_the_wrong_type_is_a_failed_check(self):
-        doc = replicate().to_json_dict()
+        doc = report_json(replicate())
         doc["correlations"]["original"]["pooled"]["value"] = "x"
         doc["simpson"]["shops"]["pooled_odds"]["fraction"] = "x"
         doc["fisher"]["original"]["stratified"]["stratum_tails"][1]["fraction"] = "1/0"
@@ -226,6 +228,15 @@ class TestReplicate:
             "original RKZ1 Fisher tail (exact): got '1/0', want Fraction(5, 366)",
             "derksen binomial one-in-N: got [86.9055] of type list, want 86.9055"]
 
+    # "1e-4300" reads as 1/10**4300, whose repr passes the int digit limit, and
+    # Fraction would write out the exponent of "1e-3000000" digit by digit
+    @pytest.mark.parametrize("text", ["1e-3000000", "1e-4300", "5/3"])
+    def test_fraction_text_is_quoted_in_its_failure(self, text):
+        doc = report_json(replicate())
+        doc["simpson"]["shops"]["pooled_odds"]["fraction"] = text
+        assert references.check_report_json(doc) == [
+            f"shops pooled odds ratio: got {text!r}, want Fraction(49, 81)"]
+
     def test_mutated_registry_fails_verification(self):
         tampered = dict(datasets.EMBEDDED)
         strata = list(tampered["original"].strata)
@@ -233,10 +244,10 @@ class TestReplicate:
         strata[0] = ("JKZ", Table2x2(jkz.a + 1, jkz.b, jkz.c, jkz.d))
         tampered["original"] = StratifiedTable(tuple(strata), name="original")
         report = replicate(registry=tampered)
-        assert references.check_report_json(report.to_json_dict())
+        assert references.check_report_json(report_json(report))
 
     def test_every_float_round_trips_from_its_fraction(self):
-        doc = replicate().to_json_dict()
+        doc = report_json(replicate())
 
         def walk(node):
             if isinstance(node, dict):
@@ -252,12 +263,12 @@ class TestReplicate:
         walk(doc)
 
     def test_json_serializable_and_deterministic(self):
-        a = json.dumps(replicate().to_json_dict(), indent=2)
-        b = json.dumps(replicate().to_json_dict(), indent=2)
+        a = json.dumps(report_json(replicate()), indent=2)
+        b = json.dumps(report_json(replicate()), indent=2)
         assert a == b
 
     def test_text_report_carries_headline_numbers(self):
-        text = replicate().to_text()
+        text = report_text(replicate())
         for token in ("0.158169", "0.0614621", "-0.125", "3.42638e+08", "141494",
                       "688.367", "1.64051", "86.9055", "3.48574e+08"):
             assert token in text
@@ -286,7 +297,7 @@ class TestReplicate:
         replicate(registry=registry)
         assert sorted(pools) == sorted(registry)
         monkeypatch.undo()
-        assert report.to_json_dict() == replicate().to_json_dict()
+        assert report_json(report) == report_json(replicate())
 
     def test_nurse_override_changes_one_in_n(self):
         report = replicate(("original",), n_nurses=1)
