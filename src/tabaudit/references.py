@@ -144,6 +144,14 @@ def _checks() -> list[Check]:
 REFERENCE_CHECKS: tuple[Check, ...] = tuple(_checks())
 
 
+def _shown(value) -> str:
+    """``repr(value)``, or the size of an int whose digits ``repr`` refuses to write."""
+    try:
+        return repr(value)
+    except ValueError:   # an int past the interpreter's int-to-str digit limit
+        return f"<{value.bit_length()}-bit int>"
+
+
 def check_report_json(doc: dict) -> list[str]:
     """Compare a report JSON document against the stored reference values.
 
@@ -171,10 +179,10 @@ def check_report_json(doc: dict) -> list[str]:
                 ok = got == check.expected
             else:
                 ok = got is check.expected
-        except TypeError:   # a value that is not a number
-            failures.append(f"{check.key}: got {raw!r} of type {type(raw).__name__}, "
+        except (TypeError, OverflowError):   # not a number, or an int past the float range
+            failures.append(f"{check.key}: got {_shown(raw)} of type {type(raw).__name__}, "
                             f"want {check.expected!r}")
             continue
         if not ok:
-            failures.append(f"{check.key}: got {raw!r}, want {check.expected!r}")
+            failures.append(f"{check.key}: got {_shown(raw)}, want {check.expected!r}")
     return failures

@@ -9,13 +9,15 @@ Two null models are simulated:
   in the suspect's ``draws`` shifts, directly from the hypergeometric law.
 
 Reproducibility protocol: trials are processed in fixed blocks of
-``BLOCK_TRIALS``; block ``i`` uses its own counter-based Philox stream keyed
-by (seed, i). Results are therefore identical across runs and independent of
-how blocks are distributed over workers: merging is integer summation. In
-the heterogeneous model each nurse has their own rate (at most one incident
-per shift); the estimate reads the suspect's count alone, which is
-independent of the others, so it checks every nurse's rate and shift count
-and then runs ``simulate_tail`` on the suspect's binomial spec. A spec
+``BLOCK_TRIALS``; block ``i`` draws from its own SFC64 stream, seeded by
+``SeedSequence(seed, spawn_key=(i,))``. The seed fills the sequence's
+128-bit pool before the block index is appended, so no two (seed, block)
+pairs share a stream. Results are therefore identical across runs and
+independent of how blocks are distributed over workers: merging is integer
+summation. In the heterogeneous model each nurse has their own rate (at most
+one incident per shift); the estimate reads the suspect's count alone, which
+is independent of the others, so it checks every nurse's rate and shift
+count and then runs ``simulate_tail`` on the suspect's binomial spec. A spec
 accepts exactly what the exact kernels accept, plus the limits of its own:
 trials at least 1, a seed in [0, 2**64) and numpy's 10**9 limit on the
 hypergeometric sampler. numpy is imported where a generator is built, so
@@ -37,10 +39,10 @@ BLOCK_TRIALS = 1 << 16
 
 
 def _block_generator(seed: int, block: int):
-    """The numpy ``Generator`` of one block: Philox keyed by (seed, block)."""
+    """The numpy ``Generator`` of one block: SFC64 seeded by
+    ``SeedSequence(seed, spawn_key=(block,))``."""
     import numpy as np
-    key = np.array([seed, block], dtype=np.uint64)
-    return np.random.Generator(np.random.Philox(key=key))
+    return np.random.Generator(np.random.SFC64(np.random.SeedSequence(seed, spawn_key=(block,))))
 
 
 #: The parameters each model reads besides trials, seed and draws. A spec
@@ -80,7 +82,7 @@ class SimulationSpec:
                                _as_rate(value) if field == "rate" else _as_int(value, field))
         if self.trials < 1:
             raise ValueError(f"trials must be >= 1, got {self.trials}")
-        if not 0 <= self.seed < 1 << 64:   # keys Philox as it is: -1 must not alias 2**64 - 1
+        if not 0 <= self.seed < 1 << 64:   # refused here, not by SeedSequence mid-simulation
             raise ValueError(f"seed {self.seed} outside [0, 2**64)")
         if self.model == "binomial":
             BinomialParams(self.draws, self.rate)
@@ -112,7 +114,7 @@ class SimulationResult:
 
 def simulate_tail(spec: SimulationSpec, k: int) -> SimulationResult:
     """Estimate P(X >= k) under the spec's null model: count the trials with
-    ``X >= k``, one Philox stream per block."""
+    ``X >= k``, one SFC64 stream per (seed, block)."""
     k = _as_int(k, "threshold")
     if k < 0:
         raise ValueError(f"threshold {k} is negative")

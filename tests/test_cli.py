@@ -544,9 +544,9 @@ GOLDEN = {
     "svg-derksen-text": (0, "3f0b0e5d875b7c4c77e941d416c980185ce675bc21f06d2f6e79f465e1fc7c93"),
     "svg-derksen-json": (0, "2a61d8a69e8597ee9680120658c49dc51dd6b3f019c682dea043df41ba82e87c"),
     "svg-derksen-csv": (0, "cc05e14f5e3379b0b3a6b74b8b1e8b2d1d6abebb1a172c7ed131e436a516ffb0"),
-    "simulate-derksen-text": (0, "f51830390be3752867b9722b7f03c555f4be343bfde46f8313ae796433b885e8"),
-    "simulate-derksen-json": (0, "5c6372d589f174ea8f778ea9a06ff33bbd9faf16655c725d554d5a249c24414d"),
-    "simulate-derksen-csv": (0, "0e8f298c1560b577eff38790defd5724a0dd7f9ad5fa43e08cb6ac49b456d838"),
+    "simulate-derksen-text": (0, "7cc80fef81ca62692636199574c9d5b1a6fde879e54cfa1021bee847ecf109ae"),
+    "simulate-derksen-json": (0, "9543ecdf9a341acf8ce38a903ec1634993ea8bd7034c9ace5473af64d79fdd54"),
+    "simulate-derksen-csv": (0, "33a930f681ff41bb0a3bcd02b13ce6da70d42e6c7cc07af44c795f22c986ab62"),
     "analyze-shops-text": (0, "9556b6ae853a55484011a486fca34f9dce8568730e29d2bb948118d08cdc8bd6"),
     "analyze-shops-json": (0, "9c3515fa915eeb2a96b9436a8659aaef35afa7571c0cae60ce761a22b0d7bcbd"),
     "analyze-shops-csv": (0, "c2e1b820aedeae17fc568ee39d07855ffc0bc741a28a9c78dc7558e29453d8f5"),
@@ -562,9 +562,9 @@ GOLDEN = {
     "svg-shops-text": (0, "821825ba4ec459dab7e1f49b4c81be44240c86ec41b99efb0725c1adb0c3745b"),
     "svg-shops-json": (0, "74d23ad0f3959f5cfca9b6ac6c0c3e9be973defbd519faae602f26d7cfff9929"),
     "svg-shops-csv": (0, "ecc98237aa8c9c62cac50ea3058403d8ff2c724e45ac52705048ad1cd30576cc"),
-    "simulate-shops-text": (0, "5838853d366bf70d6c4dddce43bebb8df023fa1d92abe2909c08b86f5b951f5b"),
-    "simulate-shops-json": (0, "7abb4c30938b37cbd4609320310ab97278c43465221cfdcd99626855035466c5"),
-    "simulate-shops-csv": (0, "ff3dee8f89ecc9d63fa3b9b1945094c534bd4ba84f0e070f78609b5a9a611dc6"),
+    "simulate-shops-text": (0, "9ef1613460b3911b96c4bf7ce5895d2b8c0db1d44670c65a04ba0a08b8ede6f2"),
+    "simulate-shops-json": (0, "0cc913c5c163afa9acf421fe86b043b1b056d1dd04ea89287f77f6a03ad52bae"),
+    "simulate-shops-csv": (0, "41d7a59be19944d492c2b5338b3a691598707b29b2eefa657286d0cd6b25f7ec"),
     "replicate-text": (0, "b5b33636ea850ce88d9702291910c98666470faa96250f8c6e7b959e0edee278"),
     "replicate-json": (0, "a958bc8bc1bed45fdf53ac7ff8170669692f8c6f381e9c903fc9606fbab177b2"),
     "replicate-csv": (0, "038fc19a5336cf2aad5a0b70d6025d3db7ba4c1fee35fa82afa89049c71b31c3"),
@@ -583,9 +583,9 @@ GOLDEN = {
     "binomial-stratum-text": (0, "5e6ef857c3febab39be2ba86fa488ec8467315b3d6e5d8086f7985a3cabbfdc6"),
     "binomial-stratum-json": (0, "aad7eeb9e4843b0431bc29d392a455768de502e3812402a2fdfcedc42b75c853"),
     "binomial-stratum-csv": (0, "fd22bddffcf01c82b5b36e7b1051f79ee1c243979da74f93b7ff45114d19fc66"),
-    "simulate-hypergeometric-text": (0, "f4976e0e8554d40b47a67494190e40398c732b420365ec9a9d64dbb0042058cb"),
-    "simulate-hypergeometric-json": (0, "974c3a320d03449eed4bf0f1c6e12d897f3a7d484ed0929e7d7bbb58a4a87f38"),
-    "simulate-hypergeometric-csv": (0, "153a43e8de247d2d4a36bd30e5303d64bd9a50b843ac07466de8fbcfe5246de4"),
+    "simulate-hypergeometric-text": (0, "36f283577e4c384b7e4955667f31a8f53a4a9dc64b7d9363a1285691c8b037ae"),
+    "simulate-hypergeometric-json": (0, "3efc861a78395919021f94dbdf5670e9ac6faf822e6f4c00f9b36c1935737614"),
+    "simulate-hypergeometric-csv": (0, "f8787713a1aeff498b94e0cc4d1cba30210cddf90188d26459f4a1baf4db0113"),
     "svg-stratum-text": (0, "f5bab992f7ef76edd48ecd5f6851a2cfba6bbf1ed9110c59384786d77cbc0176"),
     "svg-stratum-json": (0, "fd67f923ba1012b7d787ed54e4007b059dd5a52c9acef30d3c28e8ed1b853f3b"),
     "svg-stratum-csv": (0, "0b1b6354414f1c0bce3778cc9b417d16b88aa4921511f9b889ef3d72b2b67223"),

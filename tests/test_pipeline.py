@@ -237,6 +237,23 @@ class TestReplicate:
         assert references.check_report_json(doc) == [
             f"shops pooled odds ratio: got {text!r}, want Fraction(49, 81)"]
 
+    def test_int_past_the_float_range_is_a_failed_check(self):
+        # json.loads reads 401 digits, but the relative check cannot make them a float
+        digits = "1" + "0" * 400
+        doc = report_json(replicate())
+        doc["correlations"]["original"]["pooled"]["value"] = json.loads(digits)
+        assert references.check_report_json(doc) == [
+            f"original pooled correlation: got {digits} of type int, want 0.158169"]
+
+    def test_int_past_the_digit_limit_is_a_failed_check(self):
+        # repr refuses an int of more than 4300 digits, so the message gives its size
+        doc = report_json(replicate())
+        doc["correlations"]["original"]["pooled"]["value"] = 10**4999
+        doc["simpson"]["shops"]["pooled_odds"]["fraction"] = 10**4999
+        assert references.check_report_json(doc) == [
+            "original pooled correlation: got <16607-bit int> of type int, want 0.158169",
+            "shops pooled odds ratio: got <16607-bit int>, want Fraction(49, 81)"]
+
     def test_mutated_registry_fails_verification(self):
         tampered = dict(datasets.EMBEDDED)
         strata = list(tampered["original"].strata)

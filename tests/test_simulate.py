@@ -13,8 +13,10 @@ from hypothesis import strategies as st
 from conftest import json_values
 from tabaudit.exact import BinomialParams, binomial_upper_tail, hypergeom_upper_tail
 from tabaudit.simulate import (
+    BLOCK_TRIALS,
     LOG_HEADER,
     SimulationSpec,
+    _block_generator,
     append_log,
     simulate_heterogeneous,
     simulate_tail,
@@ -61,7 +63,8 @@ class TestDeterminism:
         assert a.hits != b.hits
 
     def test_seed_outside_64_bits_rejected(self):
-        # a seed keys Philox as it is: -1 must not alias 2**64 - 1, and both ends work
+        # SeedSequence takes any seed >= 0: the spec refuses -1 and 2**64 itself,
+        # and both ends of [0, 2**64) work
         for seed in (-1, 1 << 64):
             with pytest.raises(ValueError, match=r"outside \[0, 2\*\*64\)"):
                 simulate_tail(binomial_spec(trials=10, seed=seed), 6)
@@ -73,6 +76,27 @@ class TestDeterminism:
         short = simulate_tail(binomial_spec(trials=65536, seed=5), 6)
         longer = simulate_tail(binomial_spec(trials=65537, seed=5), 6)
         assert longer.hits in (short.hits, short.hits + 1)
+
+    @pytest.mark.parametrize("spec", [binomial_spec, hypergeom_spec])
+    def test_blocks_merge_by_summation(self, spec):
+        # block i draws from its own (seed, i) stream, and the hits add up
+        spec = spec(trials=2 * BLOCK_TRIALS, seed=8)
+        by_hand = 0
+        for block in (0, 1):
+            rng = _block_generator(spec.seed, block)
+            if spec.model == "binomial":
+                counts = rng.binomial(spec.draws, float(spec.rate), size=BLOCK_TRIALS)
+            else:
+                counts = rng.hypergeometric(spec.successes, spec.population - spec.successes,
+                                            spec.draws, size=BLOCK_TRIALS)
+            by_hand += int((counts >= 5).sum())
+        assert simulate_tail(spec, 5).hits == by_hand
+
+    def test_seed_and_block_do_not_alias(self):
+        # pairs that would alias if seed and block were summed or packed into one word
+        keys = [(1, 0), (0, 1), (1 << 32, 0), (0, 0), ((1 << 64) - 1, 0), (0, 1 << 32)]
+        firsts = {_block_generator(seed, block).bit_generator.random_raw() for seed, block in keys}
+        assert len(firsts) == len(keys)
 
 
 class TestConvergence:
@@ -95,7 +119,7 @@ class TestConvergence:
         assert abs(result.estimate - exact) <= 3 * oracle_sigma(exact, 100000)
 
     def test_hundred_seeds_within_three_sigma(self):
-        # deterministic given the frozen seed list; observed worst case 2.66 sigma
+        # deterministic given the frozen seed list; observed worst case 2.64 sigma
         exact = float(binomial_upper_tail(BinomialParams(203, Fraction(14, 1531)), 6))
         sigma = oracle_sigma(exact, 20000)
         within = sum(
