@@ -4,9 +4,19 @@ Two null models are simulated:
 
 * ``binomial`` - drawing with replacement: each trial draws ``draws`` times
   at a fixed rate and counts successes.
-* ``hypergeometric`` - drawing without replacement: each trial draws the
-  number of the ``successes`` incident shifts among ``population`` that land
-  in the suspect's ``draws`` shifts, directly from the hypergeometric law.
+* ``hypergeometric`` - drawing without replacement: each trial counts the
+  ``successes`` incident shifts among ``population`` that land in the
+  suspect's ``draws`` shifts. The law is symmetric in the two margins, so
+  with m the smaller and M the larger of them, a spec with m at most
+  ``URN_ITEMS`` is drawn as an urn: the m items are placed one at a time,
+  and step i hits one of the M marked places still free with probability
+  exactly free / (population - i), one bounded int32 draw compared with the
+  free count. That costs about 5-8 ns per item per trial, against 120-270 ns
+  per trial for numpy's ratio-of-uniforms sampler (HRUA) whatever m is: on
+  65 536-trial blocks at populations 339, 1029 and 10 000 (numpy 2.4.6, a
+  2-core Xeon VM) the urn was the faster at every m up to 16, the two were
+  close at 20 and numpy's was the faster at 27, so numpy's sampler draws
+  every spec with m above ``URN_ITEMS``.
 
 Reproducibility protocol: trials are processed in fixed blocks of
 ``BLOCK_TRIALS``; block ``i`` draws from its own SFC64 stream, seeded by
@@ -19,8 +29,10 @@ one incident per shift); the estimate reads the suspect's count alone, which
 is independent of the others, so it checks every nurse's rate and shift
 count and then runs ``simulate_tail`` on the suspect's binomial spec. A spec
 accepts exactly what the exact kernels accept, plus the limits of its own:
-trials at least 1, a seed in [0, 2**64) and numpy's 10**9 limit on the
-hypergeometric sampler. numpy is imported where a generator is built, so
+trials at least 1, a seed in [0, 2**64), draws below 2**63 for numpy's
+binomial sampler, and numpy's 10**9 limit on each hypergeometric class,
+which also keeps the population below 2**31, so the urn's int32 counts and
+bounds cannot overflow. numpy is imported where a generator is built, so
 the exact paths never load it.
 """
 
@@ -36,6 +48,9 @@ from typing import Sequence
 from .exact import BinomialParams, _as_int, _as_number, _as_rate, _margins
 
 BLOCK_TRIALS = 1 << 16
+#: The most items (the smaller hypergeometric margin) drawn as an urn; numpy's
+#: hypergeometric sampler draws larger ones, where it is the faster.
+URN_ITEMS = 16
 
 
 def _block_generator(seed: int, block: int):
@@ -86,6 +101,9 @@ class SimulationSpec:
             raise ValueError(f"seed {self.seed} outside [0, 2**64)")
         if self.model == "binomial":
             BinomialParams(self.draws, self.rate)
+            if self.draws >= 1 << 63:
+                raise ValueError(f"draws {self.draws} must be below 2**63 "
+                                 "for numpy's binomial sampler")
         else:
             _margins(self.population, self.draws, self.successes)
             if max(self.successes, self.population - self.successes) >= 10**9:
@@ -121,6 +139,9 @@ def simulate_tail(spec: SimulationSpec, k: int) -> SimulationResult:
     if spec.model == "binomial":
         def draw(rng, size):
             return rng.binomial(spec.draws, float(spec.rate), size=size)
+    elif min(spec.successes, spec.draws) <= URN_ITEMS:
+        def draw(rng, size):
+            return _urn(rng, spec.population, *sorted((spec.successes, spec.draws)), size)
     else:
         def draw(rng, size):
             return rng.hypergeometric(spec.successes, spec.population - spec.successes,
@@ -133,6 +154,16 @@ def simulate_tail(spec: SimulationSpec, k: int) -> SimulationResult:
     stderr = math.sqrt(estimate * (1 - estimate) / spec.trials)
     interval = (max(0.0, estimate - 3 * stderr), min(1.0, estimate + 3 * stderr))
     return SimulationResult(estimate, stderr, interval, spec.trials, spec.seed, hits)
+
+
+def _urn(rng, population: int, items: int, marked: int, size: int):
+    """How many of ``items`` placed one at a time among ``population`` places,
+    without replacement, land on the ``marked`` ones, for ``size`` trials."""
+    import numpy as np
+    free = np.full(size, marked, dtype=np.int32)
+    for i in range(items):
+        free -= rng.integers(0, population - i, size, dtype=np.int32) < free
+    return marked - free
 
 
 def simulate_heterogeneous(

@@ -314,6 +314,14 @@ class TestSimulate:
         assert (code, out) == (3, "")
         assert "successes 1000000000 and population - successes 5 must each be below" in err
 
+    def test_binomial_draws_past_sampler_exit_3(self, capsys, tmp_path):
+        # refused when the spec is built, before the exact tail over 2**63 draws
+        path = tmp_path / "huge.csv"
+        path.write_text(f"w,{1 << 63},0,1,5\n")
+        code, out, err = run_cli(capsys, "simulate", "--input", str(path), "--trials", "10")
+        assert (code, out) == (3, "")
+        assert f"draws {1 << 63} must be below 2**63 for numpy's binomial sampler" in err
+
     def test_binomial_without_comparison_shifts_exit_3(self, capsys, tmp_path):
         path = tmp_path / "alone.csv"
         path.write_text("w,1,2,0,0\n")
@@ -583,9 +591,9 @@ GOLDEN = {
     "binomial-stratum-text": (0, "5e6ef857c3febab39be2ba86fa488ec8467315b3d6e5d8086f7985a3cabbfdc6"),
     "binomial-stratum-json": (0, "aad7eeb9e4843b0431bc29d392a455768de502e3812402a2fdfcedc42b75c853"),
     "binomial-stratum-csv": (0, "fd22bddffcf01c82b5b36e7b1051f79ee1c243979da74f93b7ff45114d19fc66"),
-    "simulate-hypergeometric-text": (0, "36f283577e4c384b7e4955667f31a8f53a4a9dc64b7d9363a1285691c8b037ae"),
-    "simulate-hypergeometric-json": (0, "3efc861a78395919021f94dbdf5670e9ac6faf822e6f4c00f9b36c1935737614"),
-    "simulate-hypergeometric-csv": (0, "f8787713a1aeff498b94e0cc4d1cba30210cddf90188d26459f4a1baf4db0113"),
+    "simulate-hypergeometric-text": (0, "54e79648976fac54e7a9c51def77c29fdb0703b813964dac742877d16b71dcfb"),
+    "simulate-hypergeometric-json": (0, "c987b3a7e5c7d89ac96a22fcc6f2ceb4531c4af5f620f63d027c1fbf6473dafb"),
+    "simulate-hypergeometric-csv": (0, "1cf0b146e08b5d293978844ae8889c0374f97b18221a5cba8e3dee7090b526e2"),
     "svg-stratum-text": (0, "f5bab992f7ef76edd48ecd5f6851a2cfba6bbf1ed9110c59384786d77cbc0176"),
     "svg-stratum-json": (0, "fd67f923ba1012b7d787ed54e4007b059dd5a52c9acef30d3c28e8ed1b853f3b"),
     "svg-stratum-csv": (0, "0b1b6354414f1c0bce3778cc9b417d16b88aa4921511f9b889ef3d72b2b67223"),

@@ -6,6 +6,7 @@ import json
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -15,8 +16,10 @@ from tabaudit.exact import BinomialParams, binomial_upper_tail, hypergeom_upper_
 from tabaudit.simulate import (
     BLOCK_TRIALS,
     LOG_HEADER,
+    URN_ITEMS,
     SimulationSpec,
     _block_generator,
+    _urn,
     append_log,
     simulate_heterogeneous,
     simulate_tail,
@@ -28,9 +31,9 @@ def binomial_spec(trials=20000, seed=0):
                           draws=203, rate=Fraction(14, 1531))
 
 
-def hypergeom_spec(trials=20000, seed=0):
+def hypergeom_spec(trials=20000, seed=0, successes=14):
     return SimulationSpec(model="hypergeometric", trials=trials, seed=seed,
-                          draws=58, population=339, successes=14)
+                          draws=58, population=339, successes=successes)
 
 
 @st.composite
@@ -77,15 +80,25 @@ class TestDeterminism:
         longer = simulate_tail(binomial_spec(trials=65537, seed=5), 6)
         assert longer.hits in (short.hits, short.hits + 1)
 
-    @pytest.mark.parametrize("spec", [binomial_spec, hypergeom_spec])
+    @pytest.mark.parametrize("spec", [
+        binomial_spec(trials=2 * BLOCK_TRIALS, seed=8),
+        hypergeom_spec(trials=2 * BLOCK_TRIALS, seed=8, successes=URN_ITEMS),
+        hypergeom_spec(trials=2 * BLOCK_TRIALS, seed=8, successes=URN_ITEMS + 1),
+    ], ids=["binomial_spec", "urn_spec", "numpy_hypergeom_spec"])
     def test_blocks_merge_by_summation(self, spec):
-        # block i draws from its own (seed, i) stream, and the hits add up
-        spec = spec(trials=2 * BLOCK_TRIALS, seed=8)
+        # block i draws from its own (seed, i) stream, and the hits add up; up to
+        # URN_ITEMS incident shifts (fewer than the 58 drawn) are placed as an urn
         by_hand = 0
         for block in (0, 1):
             rng = _block_generator(spec.seed, block)
             if spec.model == "binomial":
                 counts = rng.binomial(spec.draws, float(spec.rate), size=BLOCK_TRIALS)
+            elif spec.successes <= URN_ITEMS:
+                free = np.full(BLOCK_TRIALS, spec.draws, dtype=np.int32)
+                for i in range(spec.successes):
+                    free -= rng.integers(0, spec.population - i, BLOCK_TRIALS,
+                                         dtype=np.int32) < free
+                counts = spec.draws - free
             else:
                 counts = rng.hypergeometric(spec.successes, spec.population - spec.successes,
                                             spec.draws, size=BLOCK_TRIALS)
@@ -134,6 +147,29 @@ class TestConvergence:
         lo, hi = result.interval
         assert lo <= result.estimate <= hi
         assert 0 <= result.estimate <= 1
+
+
+class TestUrn:
+    @pytest.mark.parametrize("population, draws, successes", [
+        (339, 58, 1),                           # one item
+        (1029, 142, URN_ITEMS),                 # the most the urn draws
+        (339, 5, 58),                           # the suspect's shifts are the items
+        (40, 40, 7),                            # every shift the suspect's
+        (30, 5, 30),                            # every shift an incident
+        (URN_ITEMS, URN_ITEMS, URN_ITEMS),      # items = population
+        (2 * (10**9 - 1), 10**9 - 1, 8),        # the largest population a spec takes
+    ])
+    def test_counts_follow_the_exact_pmf(self, population, draws, successes):
+        # each outcome's count within 5 sigma of trials * P(X = v), none outside the support
+        trials = 1 << 18
+        items, marked = sorted((successes, draws))
+        rng = _block_generator(0, 0)
+        counts = np.bincount(_urn(rng, population, items, marked, trials), minlength=items + 1)
+        assert len(counts) == items + 1
+        tails = [hypergeom_upper_tail(population, draws, successes, v) for v in range(items + 2)]
+        for v in range(items + 1):
+            p = float(tails[v] - tails[v + 1])
+            assert abs(counts[v] - trials * p) <= 5 * math.sqrt(trials * p * (1 - p)), v
 
 
 class TestEdgeExactness:
@@ -330,6 +366,18 @@ class TestSpecAndLog:
         edge = SimulationSpec(model="hypergeometric", trials=10, seed=0, draws=3,
                               population=2 * (10**9 - 1), successes=10**9 - 1)
         assert simulate_tail(edge, 0).hits == 10
+
+    def test_spec_rejects_binomial_draws_past_the_sampler(self):
+        # numpy's binomial sampler takes draws below 2**63, as a C long
+        for draws in (1 << 63, 1 << 70):
+            with pytest.raises(ValueError, match=f"draws {draws} must be below 2\\*\\*63"):
+                SimulationSpec(model="binomial", trials=10, seed=0, draws=draws,
+                               rate=Fraction(1, 2))
+            with pytest.raises(ValueError, match=f"draws {draws} must be below 2\\*\\*63"):
+                simulate_heterogeneous([Fraction(1, 2)], [draws], 0, 1, 10, seed=0)
+        edge = SimulationSpec(model="binomial", trials=10, seed=0, draws=(1 << 63) - 1,
+                              rate=Fraction(1, 2))
+        assert simulate_tail(edge, 1 << 61).hits == 10
 
     def test_spec_json_round_trip(self):
         for spec in (binomial_spec(), hypergeom_spec()):
