@@ -60,8 +60,8 @@ def nominal_correlation(t: Table2x2) -> NominalCorrelationResult:
         return NominalCorrelationResult(det, zero, zero, 0.0)
     row_ratio = Fraction(det, col_prod)
     col_ratio = Fraction(det, row_prod)
-    value = math.copysign(math.sqrt(float(row_ratio * col_ratio)), det)
-    return NominalCorrelationResult(det, row_ratio, col_ratio, value)
+    value = math.sqrt(float(row_ratio * col_ratio))   # sign from det, which may pass the float range
+    return NominalCorrelationResult(det, row_ratio, col_ratio, -value if det < 0 else value)
 
 
 def flattened_volume_ratio(s: StratifiedTable) -> float:
@@ -107,11 +107,6 @@ class OddsRatioValue:
         if self.value == 1:
             return "=1"
         return "<1"
-
-    def __str__(self) -> str:
-        if self.kind == "finite":
-            return str(self.value)
-        return self.kind
 
 
 def odds_ratio(t: Table2x2) -> OddsRatioValue:

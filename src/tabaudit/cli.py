@@ -5,15 +5,17 @@ diff. Every subcommand supports ``--format text|json|csv``; output is
 byte-identical for identical invocations (the simulator is seeded). Exit
 codes: 0 success, 2 input error, 3 analysis/validation error, 4 replication
 mismatch. The argument parser is built once per process and shared by every
-``main`` call; text output is rendered only for ``--format text``.
+``main`` call.
 
 ``main`` is the one path from input to output. It loads the dataset and, for
 binomial, simulate and svg, the ``--stratum`` or pooled table, and passes it
 with the text head (``dataset: NAME`` or ``dataset: NAME (TABLE)``) to
 ``cmd_NAME(args, input, head)``; ``replicate`` and ``diff`` take only ``args``.
 Each returns ``(doc, text)``: its JSON document and a function that renders
-its text. ``main`` puts ``"dataset"`` and ``"table"`` first in the document,
-writes it once, and exits 4 if its ``verification`` failed.
+its text from that document alone, so every number is written once, by the
+document's builder, and reads the same in every format; only ``--format
+text`` calls it. ``main`` puts ``"dataset"`` and ``"table"`` first in the
+document, writes it once, and exits 4 if its ``verification`` failed.
 """
 
 from __future__ import annotations
@@ -104,29 +106,27 @@ def _emit(args, text: Callable[[], str], doc: dict) -> None:
 # subcommands: each returns (doc, text)
 
 def cmd_analyze(args, ds: StratifiedTable, head: str):
-    comp = collapse_comparison(ds)
-    odds = [(label, odds_ratio(t)) for label, t in ds.strata]
-    pooled_odds = odds_ratio(collapse(ds))
-    rates = rate_table([ds])
-
     doc = {
-        "correlations": pipeline.comparison_json(comp),
+        "correlations": pipeline.comparison_json(collapse_comparison(ds)),
         "odds": {
-            "strata": pipeline.per_stratum_json(odds, pipeline.odds_json),
-            "pooled": pipeline.odds_json(pooled_odds),
+            "strata": pipeline.per_stratum_json(((label, odds_ratio(t)) for label, t in ds.strata),
+                                                pipeline.odds_json),
+            "pooled": pipeline.odds_json(odds_ratio(collapse(ds))),
         },
-        "rates": pipeline.rates_json(rates),
+        "rates": pipeline.rates_json(rate_table([ds])),
     }
 
     def text():
-        rows = [[lab, sig6(r.value)] for lab, r in comp.stratum_values]
-        rows.append(["pooled", sig6(comp.pooled.value)])
-        if comp.flattened_ratio is not None:
-            rows.append(["flattened composite", sig6(comp.flattened_ratio)])
+        corr, odds = doc["correlations"], doc["odds"]
+        rows = [[c["stratum"], c["display"]] for c in corr["strata"]]
+        rows.append(["pooled", corr["pooled"]["display"]])
+        if corr["flattened_ratio"] is not None:
+            rows.append(["flattened composite", corr["flattened_ratio"]["display"]])
         blocks = [head, "Nominal correlation\n" + text_table(["stratum", "value"], rows)]
-        rows = [[lab, str(o)] for lab, o in odds] + [["pooled", str(pooled_odds)]]
+        rows = [[o["stratum"], pipeline.odds_text(o)] for o in odds["strata"]]
+        rows.append(["pooled", pipeline.odds_text(odds["pooled"])])
         blocks.append("Odds ratios\n" + text_table(["stratum", "odds ratio"], rows))
-        rows = [row[1:] for row in pipeline.rate_rows(rates)]
+        rows = [row[1:] for row in pipeline.rate_rows(doc["rates"])]
         blocks.append("Incident rates per shift\n"
                       + text_table(["stratum", "group", "rate"], rows))
         return "\n\n".join(blocks)
@@ -135,15 +135,15 @@ def cmd_analyze(args, ds: StratifiedTable, head: str):
 
 
 def cmd_fisher(args, ds: StratifiedTable, head: str):
-    result = pipeline.fisher_pipeline(ds, args.nurses, args.mode)
-    return pipeline.fisher_json(result), lambda: (
-        f"{head} (mode {result.mode}, nurses {result.n_nurses})\nExact upper tails\n"
+    doc = pipeline.fisher_json(pipeline.fisher_pipeline(ds, args.nurses, args.mode))
+    return doc, lambda: (
+        f"{head} (mode {doc['mode']}, nurses {doc['n_nurses']})\nExact upper tails\n"
         + text_table(["stratum", "P(X >= a)"],
-                     [[lab, sig6(tail)] for lab, tail in result.stratum_tails])
-        + f"\n\nproduct {sig6(result.product)}"
-        + f"\ncorrected (x {result.n_nurses}) {sig6(result.corrected)}"
-        + (" [exceeds 1]" if result.exceeds_one else "")
-        + f"\none in N: {sig6(result.one_in_n)}"
+                     [[t["stratum"], t["display"]] for t in doc["stratum_tails"]])
+        + f"\n\nproduct {doc['product']['display']}"
+        + f"\ncorrected (x {doc['n_nurses']}) {doc['corrected']['display']}"
+        + (" [exceeds 1]" if doc["exceeds_one"] else "")
+        + f"\none in N: {doc['one_in_n']['display']}"
     )
 
 
@@ -151,46 +151,45 @@ def cmd_binomial(args, table, head: str):
     if (args.k_min is None) != (args.k_max is None):
         raise CliInputError("--k-min and --k-max must be given together")
     k_range = None if args.k_min is None else (args.k_min, args.k_max)
-    result = pipeline.binomial_analysis(table, k_range=k_range, tau=args.tau)
-    return pipeline.binomial_json(result), lambda: (
-        f"{head}; draws {result.draws}, "
-        f"null rate {result.null_rate} = {sig6(result.null_rate)}\n"
-        + text_table(["cases", "P(X >= k)"], pipeline.tail_rows(result.tails))
-        + f"\n\nobserved {result.k_obs}: tail {sig6(result.tail_at_k_obs)}, one in "
-        + (sig6(result.one_in_n) if result.one_in_n is not None else "infinite")
-        + f"\nexpected count {sig6(result.expected)}; first tail < {result.tau}: "
-        + (str(result.k_star) if result.k_star is not None else "none in range")
+    doc = pipeline.binomial_json(pipeline.binomial_analysis(table, k_range=k_range, tau=args.tau))
+    return doc, lambda: (
+        f"{head}; draws {doc['draws']}, "
+        f"null rate {doc['null_rate']['fraction']} = {doc['null_rate']['display']}\n"
+        + text_table(["cases", "P(X >= k)"], pipeline.tail_rows(doc["rows"]))
+        + f"\n\nobserved {doc['k_obs']}: tail {doc['tail_at_k_obs']['display']}, one in "
+        + (doc["one_in_n"]["display"] if doc["one_in_n"] else "infinite")
+        + f"\nexpected count {doc['expected']['display']}; first tail < {doc['tau']}: "
+        + (str(doc["k_star"]) if doc["k_star"] is not None else "none in range")
     )
 
 
 def cmd_simpson(args, ds: StratifiedTable, head: str):
-    verdict = simpson_check(ds)
-    odds = (*verdict.stratum_odds, ("pooled", verdict.pooled_odds))
-    return pipeline.simpson_json(verdict), lambda: (
+    doc = pipeline.simpson_json(simpson_check(ds))
+    odds = (*doc["stratum_odds"], {"stratum": "pooled", **doc["pooled_odds"]})
+    return doc, lambda: (
         f"{head}\n"
         + text_table(["stratum", "odds ratio", "side"],
-                     [[lab, str(o), o.versus_one()] for lab, o in odds])
-        + f"\n\nparadox: {str(verdict.paradox).lower()}"
-        + (f" ({verdict.note})" if verdict.note else "")
+                     [[o["stratum"], pipeline.odds_text(o), o["versus_one"]] for o in odds])
+        + f"\n\nparadox: {str(doc['paradox']).lower()}"
+        + (f" ({doc['note']})" if doc["note"] else "")
     )
 
 
 def cmd_replicate(args):
-    report = pipeline.replicate(n_nurses=args.nurses)
-    doc = pipeline.report_json(report)
+    doc = pipeline.report_json(pipeline.replicate(n_nurses=args.nurses))
     failures = references.check_report_json(doc)
     doc["verification"] = {"passed": not failures, "failures": failures}
 
     if args.figures:
         fig_dir = Path(args.figures)
         fig_dir.mkdir(parents=True, exist_ok=True)
-        for name in report.dataset_names:
+        for name in doc["datasets"]:
             *_, svg = _figure(collapse(datasets.get(name)))
             (fig_dir / f"{name}.svg").write_text(svg)
 
     summary = ("all replication checks passed"
                if not failures else "REPLICATION MISMATCH:\n  " + "\n  ".join(failures))
-    return doc, lambda: pipeline.report_text(report) + "\n" + summary
+    return doc, lambda: pipeline.report_text(doc) + "\n" + summary
 
 
 def cmd_simulate(args, table, head: str):
@@ -212,11 +211,13 @@ def cmd_simulate(args, table, head: str):
         "interval": list(result.interval), "hits": result.hits,
         "exact": exact_json(exact),
     }
+    given, (lo, hi) = doc["spec"], doc["interval"]
     return doc, lambda: (
-        f"{head}; model {spec.model}, trials {spec.trials}, seed {spec.seed}\n"
-        f"P(X >= {k}) estimate {sig6(result.estimate)} (stderr {sig6(result.stderr)})\n"
-        f"3-sigma interval [{sig6(result.interval[0])}, {sig6(result.interval[1])}]\n"
-        f"exact {sig6(exact)}"
+        f"{head}; model {given['model']}, trials {given['trials']}, seed {given['seed']}\n"
+        f"P(X >= {doc['threshold']}) estimate {sig6(doc['estimate'])} "
+        f"(stderr {sig6(doc['stderr'])})\n"
+        f"3-sigma interval [{sig6(lo)}, {sig6(hi)}]\n"
+        f"exact {doc['exact']['display']}"
     )
 
 
@@ -230,7 +231,7 @@ def cmd_svg(args, table, head: str):
         "caption": list(caption),
         "svg": svg,
     }
-    return doc, lambda: svg
+    return doc, lambda: doc["svg"]
 
 
 def _resolve_named(name: str) -> StratifiedTable:
@@ -265,17 +266,14 @@ def cmd_diff(args):
     }
 
     def text():
-        rows = [
-            [d.label, str(d.cells[0][0]), str(d.cells[0][1]), str(d.cells[1][0]),
-             str(d.cells[1][1]), str(d.total)]
-            for d in delta.strata
-        ]
+        rows = [[s["stratum"], *(str(n) for row in s["cells"] for n in row), str(s["total"])]
+                for s in doc["strata"]]
         return (
-            f"diff: {first.name or args.first} -> {second.name or args.second}\n"
+            f"diff: {doc['first'] or args.first} -> {doc['second'] or args.second}\n"
             + text_table(["stratum", "da", "db", "dc", "dd", "dtotal"], rows)
-            + f"\n\nsuspect incident delta {delta.suspect_incident_delta}; "
-            f"other incident delta {delta.other_incident_delta}; "
-            f"grand total delta {delta.total_delta}"
+            + f"\n\nsuspect incident delta {doc['suspect_incident_delta']}; "
+            f"other incident delta {doc['other_incident_delta']}; "
+            f"grand total delta {doc['total_delta']}"
         )
 
     return doc, text

@@ -53,22 +53,23 @@ both, then the rest one square at a time, and again with the next, smaller
 b until it is 1. Each step is a gcd or a division by an int at most as long
 as the shared part, never a gcd of two big ints of the row's length, and
 the steps grow logarithmically in the shared power. A row carries its
-reduced numerator and denominator, their correctly rounded float, and the
-``(b, e)`` pairs it divided out; its ``Fraction`` (the identical one) is
-built on its first read and kept.
+reduced numerator and denominator and its decimal text; its ``Fraction``
+(the identical one) is built on its first read and kept.
 
-The rows' decimal text comes from a second pass of the same recurrence in
-``decimal.Decimal``, under a context that cannot round: ``prec=MAX_PREC``,
+:func:`tail_table` writes each row's decimal text in the loop that builds
+the row, from the same recurrence run in ``decimal.Decimal`` alongside the
+int one, under a context that cannot round: ``prec=MAX_PREC``,
 ``Emax=MAX_EMAX``, ``Emin=MIN_EMIN``, with ``Inexact`` and ``Rounded``
 trapped. It starts from ``Decimal(v) ** n`` and ``Decimal(d) ** n``, so no
 big int is ever converted to decimal, which takes quadratic time
-(``str(int)`` on CPython 3.11, ``Decimal(int)``). A row's text is (scale - below) / G over
-scale / G, where G is the product of ``Decimal(b) ** e`` over its pairs.
-Both divisions are exact. The pass, the divisions and ``str(Decimal)`` take
+(``str(int)`` on CPython 3.11, ``Decimal(int)``). A row's text is
+(scale - below) / G over scale / G, where G is the product of
+``Decimal(b) ** e`` over the ``(b, e)`` pairs that reduced the row. Both
+divisions are exact. The steps, the divisions and ``str(Decimal)`` take
 time linear in the digits while G is short, as it is for most rows, and
-G = 1 needs no division. Rows equal to 0 or 1 are written directly. The pass
-runs once per table, on the first read of ``TailTable.texts``, so text and
-CSV output and threshold searches never pay for it.
+G = 1 needs no division. Rows equal to 0 or 1 are written directly. Every
+output format serializes every table it builds, so the text is built with
+the row rather than on demand.
 """
 
 from __future__ import annotations
@@ -303,17 +304,15 @@ def binomial_upper_tail(params: BinomialParams, k: int) -> Fraction:
 class TailRow:
     """P(X >= threshold) = numerator / denominator in lowest terms.
 
-    ``value`` is the correctly rounded float of that quotient; ``exact`` builds
-    the ``Fraction`` on its first read and keeps it. Unless the row is 0 or 1,
-    ``shared`` lists the ``(b, e)`` pairs whose product of ``b**e`` is the
-    part of the table's scale divided out: scale / denominator.
+    ``text`` is that fraction in decimal digits, ``"numerator/denominator"``,
+    or ``"0"`` or ``"1"``, as :func:`tail_table` writes it; ``exact`` builds
+    the ``Fraction`` on its first read and keeps it.
     """
 
     threshold: int
     numerator: int
     denominator: int
-    value: float
-    shared: tuple[tuple[int, int], ...] = ()
+    text: str
 
     @cached_property
     def exact(self) -> Fraction:
@@ -325,14 +324,12 @@ class TailTable:
     """Upper-tail probabilities P(X >= k) for a consecutive range of thresholds.
 
     Every row's denominator divides ``scale``, so the rows are checked by
-    comparing integer numerators over that one shared denominator. A table
-    from :func:`tail_table` keeps its ``params``, from which ``texts`` writes
-    the rows in decimal.
+    comparing integer numerators over that one shared denominator. Each row
+    of a table from :func:`tail_table` carries its decimal text.
     """
 
     rows: tuple[TailRow, ...]
     scale: int
-    params: BinomialParams | None = None
 
     def __post_init__(self):
         prev = None
@@ -351,14 +348,6 @@ class TailTable:
             if row.threshold == threshold:
                 return row.exact
         raise KeyError(threshold)
-
-    @cached_property
-    def texts(self) -> tuple[str, ...]:
-        """Each row as ``"numerator/denominator"`` in decimal digits, or as
-        ``"0"`` or ``"1"``: built by the decimal pass on the first read and kept."""
-        if self.params is None:
-            raise ValueError("row texts need the params the table was computed from")
-        return _row_texts(self.params, self.rows)
 
 
 def _lowest_terms(num: int, d: int, scale: int) -> tuple[int, int, tuple[tuple[int, int], ...]]:
@@ -398,10 +387,18 @@ def _lowest_terms(num: int, d: int, scale: int) -> tuple[int, int, tuple[tuple[i
     return num, den, tuple(shared)
 
 
+#: Decimal arithmetic that never rounds: every operation is exact or raises.
+_EXACT = Context(prec=MAX_PREC, Emax=MAX_EMAX, Emin=MIN_EMIN,
+                 traps=[InvalidOperation, DivisionByZero, Overflow, Inexact, Rounded])
+
+
 def tail_table(params: BinomialParams, k_min: int, k_max: int) -> TailTable:
     """Tail rows for thresholds ``k_min`` through ``k_max`` inclusive.
 
-    Thresholds are taken literally: the row for k is P(X >= k).
+    Thresholds are taken literally: the row for k is P(X >= k). The int
+    recurrence gives each row in lowest terms and the exact ``Decimal`` one,
+    stepped with it, gives its text (see the module docstring). Rows that
+    divide out the same ``(b, e)`` pairs share G and the denominator's text.
     """
     k_min, k_max = _as_int(k_min, "k_min"), _as_int(k_max, "k_max")
     n = params.draws
@@ -409,44 +406,24 @@ def tail_table(params: BinomialParams, k_min: int, k_max: int) -> TailTable:
         raise SupportError(f"threshold range [{k_min}, {k_max}] outside [0, {n + 1}]")
     d = params.rate.denominator
     scale = d**n
-    terms = _numerators(n, params.rate, 0)
-    below = sum(islice(terms, k_min))
-    rows = []
-    for k in range(k_min, k_max + 1):
-        num, den, shared = _lowest_terms(scale - below, d, scale)
-        rows.append(TailRow(k, num, den, num / den, shared))
-        below += next(terms, 0)
-    return TailTable(tuple(rows), scale, params)
-
-
-#: Decimal arithmetic that never rounds: every operation is exact or raises.
-_EXACT = Context(prec=MAX_PREC, Emax=MAX_EMAX, Emin=MIN_EMIN,
-                 traps=[InvalidOperation, DivisionByZero, Overflow, Inexact, Rounded])
-
-
-def _row_texts(params: BinomialParams, rows) -> tuple[str, ...]:
-    """The decimal text of each row of a :func:`tail_table` over ``params``.
-
-    The recurrence runs a second time in ``Decimal`` from x = 0, so the row
-    for k is (scale - below) / G over scale / G, with G built in decimal as
-    the product of ``b**e`` over the row's ``shared`` pairs; both divisions
-    are exact. No big ``int`` is converted to decimal, which is quadratic.
-    Rows that divide out the same pairs share G and the denominator's text.
-    """
-    n, rate = params.draws, params.rate
-    texts, denominators = [], {}   # shared pairs -> (G, text of scale / G)
+    rows, denominators = [], {}   # shared pairs -> (G, text of scale / G)
     with localcontext(_EXACT):
-        scale = Decimal(rate.denominator) ** n
-        terms = _numerators(n, rate, 0, Decimal)
-        below = sum(islice(terms, rows[0].threshold if rows else 0), Decimal(0))
-        for row in rows:
-            if row.denominator == 1:   # the row is 0 or 1
-                texts.append(str(row.numerator))
+        terms = _numerators(n, params.rate, 0)
+        decimal_terms = _numerators(n, params.rate, 0, Decimal)
+        below = sum(islice(terms, k_min))
+        decimal_scale = Decimal(d) ** n
+        decimal_below = sum(islice(decimal_terms, k_min), Decimal(0))
+        for k in range(k_min, k_max + 1):
+            num, den, shared = _lowest_terms(scale - below, d, scale)
+            if den == 1:   # the row is 0 or 1
+                text = str(num)
             else:
-                if row.shared not in denominators:
-                    g = prod(Decimal(b) ** e for b, e in row.shared)
-                    denominators[row.shared] = g, str(scale // g)
-                g, den = denominators[row.shared]
-                texts.append(f"{(scale - below) // g}/{den}")
+                if shared not in denominators:
+                    g = prod(Decimal(b) ** e for b, e in shared)
+                    denominators[shared] = g, str(decimal_scale // g)
+                g, den_text = denominators[shared]
+                text = f"{(decimal_scale - decimal_below) // g}/{den_text}"
+            rows.append(TailRow(k, num, den, text))
             below += next(terms, 0)
-    return tuple(texts)
+            decimal_below += next(decimal_terms, 0)
+    return TailTable(tuple(rows), scale)

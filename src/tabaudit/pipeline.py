@@ -24,7 +24,7 @@ from .association import POOLED_LABEL, RateTable, rate_table
 from .confounding import CollapseComparison, SimpsonVerdict, collapse_comparison, simpson_check
 from .exact import (BinomialParams, TailTable, _as_int, _as_number, binomial_upper_tail,
                     fisher_upper_tail, tail_table)
-from .render import exact_json, exact_json_with_text, float_json, row_sig6, sig6, text_table
+from .render import exact_json, float_json, render, sig6, text_table
 from .tables import StratifiedTable, Table2x2, collapse
 
 #: Tail-table threshold ranges used by ``replicate`` for the embedded
@@ -279,32 +279,40 @@ def rates_json(rates: RateTable) -> dict:
             "pooled": [entry(e) for e in rates.pooled]}
 
 
-def rate_rows(rates: RateTable) -> list[list[str]]:
-    """Text rows ``dataset, stratum, group, rate``: per-stratum rows, then pooled."""
-    return [[e.dataset, e.stratum, e.group, sig6(e.rate) if e.rate is not None else "undefined"]
-            for e in (*rates.entries, *rates.pooled)]
+def odds_text(o: dict) -> str:
+    """Text of an :func:`odds_json` entry: its fraction, or its kind."""
+    return o["fraction"] if o["kind"] == "finite" else o["kind"]
 
 
-def tail_rows(tails: TailTable) -> list[list[str]]:
-    """Text rows ``>= k, P(X >= k)`` of a tail table."""
-    return [[f">= {row.threshold}", row_sig6(row)] for row in tails.rows]
+def rate_rows(rates: dict) -> list[list[str]]:
+    """Text rows ``dataset, stratum, group, rate`` of a :func:`rates_json`
+    document: per-stratum rows, then pooled."""
+    return [[e["dataset"], e["stratum"], e["group"],
+             e["rate"]["display"] if e["rate"] else "undefined"]
+            for e in (*rates["strata"], *rates["pooled"])]
+
+
+def tail_rows(rows: list[dict]) -> list[list[str]]:
+    """Text rows ``>= k, P(X >= k)`` of the ``rows`` of a :func:`binomial_json` document."""
+    return [[f">= {row['threshold']}", row["display"]] for row in rows]
 
 
 def _k_obs_json(r: BinomialAnalysisResult) -> dict:
     """``tail_at_k_obs`` and ``one_in_n``. Where ``k_obs`` is in the table, both
-    are written from its row's text, which is in lowest terms, so the reciprocal
-    is the text with numerator and denominator swapped."""
+    are written from its row, which is in lowest terms, so the reciprocal
+    swaps the row's numerator and denominator and their texts."""
     i = r.k_obs - r.tails.rows[0].threshold
     if not 0 <= i < len(r.tails.rows):
         return {"tail_at_k_obs": exact_json(r.tail_at_k_obs), "one_in_n": exact_json(r.one_in_n)}
-    row, text = r.tails.rows[i], r.tails.texts[i]
-    if row.denominator == 1:   # the row is 0 or 1
-        inverse = None if row.numerator == 0 else text
+    row = r.tails.rows[i]
+    if row.numerator == 0:
+        inverse = None
     else:
-        num, den = text.split("/")
-        inverse = den if row.numerator == 1 else f"{den}/{num}"
-    return {"tail_at_k_obs": exact_json_with_text(r.tail_at_k_obs, text),
-            "one_in_n": None if inverse is None else exact_json_with_text(r.one_in_n, inverse)}
+        num, _, den = row.text.partition("/")   # den is "" where the row is 1
+        inverse = render(row.denominator, row.numerator,
+                         f"{den}/{num}" if row.numerator > 1 else den or num)
+    return {"tail_at_k_obs": render(row.numerator, row.denominator, row.text),
+            "one_in_n": inverse}
 
 
 def binomial_json(r: BinomialAnalysisResult) -> dict:
@@ -313,11 +321,11 @@ def binomial_json(r: BinomialAnalysisResult) -> dict:
         "null_rate": exact_json(r.null_rate),
         "suspect_rate": exact_json(r.suspect_rate),
         "k_obs": r.k_obs,
-        "rows": [{"threshold": row.threshold, "fraction": text, "value": row.value,
-                  "display": row_sig6(row)} for row, text in zip(r.tails.rows, r.tails.texts)],
+        "rows": [{"threshold": row.threshold, **render(row.numerator, row.denominator, row.text)}
+                 for row in r.tails.rows],
         **_k_obs_json(r),
         "expected": exact_json(r.expected),
-        "tau": str(r.tau),
+        "tau": render(r.tau.numerator, r.tau.denominator)["fraction"],
         "k_star": r.k_star,
     }
 
@@ -348,65 +356,61 @@ def report_json(report: AnalysisReport) -> dict:
     }
 
 
-def report_text(report: AnalysisReport) -> str:
+def report_text(doc: dict) -> str:
+    """The text report, read from a :func:`report_json` document alone."""
+    names = doc["datasets"]
     blocks: list[str] = []
 
     rows = []
-    for name in report.dataset_names:
-        comp = report.correlations[name]
-        per = ", ".join(f"{label} {sig6(r.value)}" for label, r in comp.stratum_values)
-        flat = sig6(comp.flattened_ratio) if comp.flattened_ratio is not None else "-"
-        rows.append([name, per, flat, sig6(comp.pooled.value)])
+    for name in names:
+        comp = doc["correlations"][name]
+        per = ", ".join(f"{s['stratum']} {s['display']}" for s in comp["strata"])
+        flat = comp["flattened_ratio"]["display"] if comp["flattened_ratio"] else "-"
+        rows.append([name, per, flat, comp["pooled"]["display"]])
     blocks.append(
         "Correlation overview\n"
         + text_table(["dataset", "per stratum", "flattened composite", "pooled"], rows)
     )
 
-    rows = []
-    for name in report.dataset_names:
-        modes = report.fisher[name]
-        rows.append([
-            name,
-            sig6(modes["stratified"].one_in_n),
-            sig6(modes["collapsed"].one_in_n),
-        ])
+    rows = [[name, *(doc["fisher"][name][mode]["one_in_n"]["display"]
+                     for mode in ("stratified", "collapsed"))] for name in names]
     blocks.append(
         "One-in-N overview (post-hoc correction applied)\n"
         + text_table(["dataset", "stratified", "collapsed"], rows)
     )
 
     blocks.append("Incident rates per shift\n"
-                  + text_table(["dataset", "stratum", "group", "rate"], rate_rows(report.rates)))
+                  + text_table(["dataset", "stratum", "group", "rate"], rate_rows(doc["rates"])))
 
     lines = []
-    for name in report.dataset_names:
-        verdict = report.simpson[name]
+    for name in names:
+        verdict = doc["simpson"][name]
         if verdict is None:
             lines.append(f"  {name}: single stratum, not applicable")
             continue
-        odds = ", ".join(f"{label} {o}" for label, o in verdict.stratum_odds)
-        note = f" ({verdict.note})" if verdict.note else ""
+        odds = ", ".join(f"{o['stratum']} {odds_text(o)}" for o in verdict["stratum_odds"])
+        note = f" ({verdict['note']})" if verdict["note"] else ""
         lines.append(
-            f"  {name}: strata {odds}; pooled {verdict.pooled_odds}; "
-            f"paradox: {str(verdict.paradox).lower()}{note}"
+            f"  {name}: strata {odds}; pooled {odds_text(verdict['pooled_odds'])}; "
+            f"paradox: {str(verdict['paradox']).lower()}{note}"
         )
     blocks.append("Simpson check\n" + "\n".join(lines))
 
-    for name in report.dataset_names:
-        r = report.binomial[name]
-        rows = tail_rows(r.tails)
+    for name in names:
+        b = doc["binomial"][name]
         head = (
-            f"Binomial model: {name} (draws {r.draws}, null rate {r.null_rate} "
-            f"= {sig6(r.null_rate)})"
+            f"Binomial model: {name} (draws {b['draws']}, null rate {b['null_rate']['fraction']} "
+            f"= {b['null_rate']['display']})"
         )
-        one_in = sig6(r.one_in_n) if r.one_in_n is not None else "infinite"
+        one_in = b["one_in_n"]["display"] if b["one_in_n"] else "infinite"
         tail = (
-            f"  observed {r.k_obs}: tail {sig6(r.tail_at_k_obs)}, one in {one_in}\n"
-            f"  expected count {sig6(r.expected)}; "
-            f"first threshold with tail < {r.tau}: "
-            + (str(r.k_star) if r.k_star is not None else "none in range")
+            f"  observed {b['k_obs']}: tail {b['tail_at_k_obs']['display']}, one in {one_in}\n"
+            f"  expected count {b['expected']['display']}; "
+            f"first threshold with tail < {b['tau']}: "
+            + (str(b["k_star"]) if b["k_star"] is not None else "none in range")
         )
-        blocks.append(head + "\n" + text_table(["cases", "P(X >= k)"], rows) + "\n" + tail)
+        blocks.append(head + "\n" + text_table(["cases", "P(X >= k)"], tail_rows(b["rows"]))
+                      + "\n" + tail)
 
-    blocks.append("Notes\n" + "\n".join(f"  - {n}" for n in _REPORT_NOTES))
+    blocks.append("Notes\n" + "\n".join(f"  - {n}" for n in doc["notes"]))
     return "\n\n".join(blocks) + "\n"

@@ -1,7 +1,9 @@
 """Number and table formatting shared by reports and the CLI.
 
-Floats are printed to 6 significant figures; JSON entries carry the exact
-fraction and the full-precision float value alongside the display string.
+:func:`render` is the one writer of an exact value: its JSON entry carries
+the fraction text, the correctly rounded float and a display string of 6
+significant figures. The text layouts read those strings from the JSON
+document, so a number reads the same in every format.
 """
 
 from __future__ import annotations
@@ -16,12 +18,6 @@ from typing import Sequence
 def sig6(x) -> str:
     """Render a number to 6 significant figures."""
     return _sig6(_to_float(x), lambda: Fraction(x))
-
-
-def row_sig6(row) -> str:
-    """:func:`sig6` of a tail row's exact value, read from its float ``value``
-    unless the float lost figures (then from ``row.exact``, as in ``sig6``)."""
-    return _sig6(row.value, lambda: row.exact)
 
 
 def _to_float(x) -> float | None:
@@ -71,26 +67,28 @@ def _int_text(n: int) -> str:
         return str(Decimal(n))
 
 
-def exact_json(f: Fraction | None) -> dict | None:
-    """JSON entry for an exact rational: fraction, float value, display.
+def render(num: int, den: int, text: str | None = None) -> dict:
+    """JSON entry for the exact value ``num / den`` in lowest terms: fraction
+    text, float value, display. ``text`` is the fraction text if it is
+    already written.
 
     The float is the correctly rounded quotient of the numerator and
-    denominator, as ``float(Fraction)`` computes it.
+    denominator, as ``float(Fraction)`` computes it, or null past the float
+    range.
     """
-    if f is None:
-        return None
-    num, den = f.numerator, f.denominator
-    return exact_json_with_text(
-        f, _int_text(num) if den == 1 else f"{_int_text(num)}/{_int_text(den)}")
-
-
-def exact_json_with_text(f: Fraction, text: str) -> dict:
-    """:func:`exact_json` of ``f``, whose fraction text ``text`` is already written."""
+    if text is None:
+        text = _int_text(num) if den == 1 else f"{_int_text(num)}/{_int_text(den)}"
     try:
-        value = f.numerator / f.denominator
-    except OverflowError:  # JSON null past the float range
+        value = num / den
+    except OverflowError:
         value = None
-    return {"fraction": text, "value": value, "display": _sig6(value, lambda: f)}
+    return {"fraction": text, "value": value,
+            "display": _sig6(value, lambda: Fraction(num, den))}
+
+
+def exact_json(f: Fraction | None) -> dict | None:
+    """:func:`render` of an exact rational, or None."""
+    return None if f is None else render(f.numerator, f.denominator)
 
 
 def float_json(x: float | None) -> dict | None:

@@ -99,6 +99,12 @@ class TestNominalCorrelation:
         assert nominal_correlation(Table2x2(5, 0, 0, 2)).value == 1.0
         assert nominal_correlation(Table2x2(0, 5, 2, 0)).value == -1.0
 
+    def test_determinant_past_the_float_range(self):
+        # |det| ~ 1e400 cannot be a float, so the sign is not taken through one
+        big = 10**200
+        assert nominal_correlation(Table2x2(big, 1, 1, big)).value == 1.0
+        assert nominal_correlation(Table2x2(1, big, big, 1)).value == -1.0
+
 
 class TestFlattenedVolumeRatio:
     def oracle(self, s):

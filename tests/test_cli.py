@@ -115,6 +115,17 @@ class TestAnalyze:
         assert out == ""
         assert json.loads(target.read_text())["dataset"] == "shops"
 
+    @pytest.mark.parametrize("fmt", ["text", "json"])
+    def test_determinant_past_the_float_range(self, capsys, tmp_path, fmt):
+        big = 10**200
+        path = tmp_path / "big.csv"
+        path.write_text(f"w1,{big},1,1,{big}\nw2,1,{big},{big},1\n")
+        code, out, err = run_cli(capsys, "analyze", "--input", str(path), "--format", fmt)
+        assert (code, err) == (0, "")
+        if fmt == "json":
+            strata = json.loads(out)["correlations"]["strata"]
+            assert [s["value"] for s in strata] == [1.0, -1.0]
+
     def test_csv_input(self, capsys, tmp_path):
         path = tmp_path / "wards.csv"
         path.write_text(to_csv_text(datasets.get("original")))
@@ -197,6 +208,14 @@ class TestBinomial:
         assert code == 0
         assert json.loads(out)["tau"] == fraction
 
+    @pytest.mark.parametrize("fmt", ["text", "json", "csv"])
+    def test_tau_past_the_int_digit_limit(self, capsys, fmt):
+        # 1e-4300 reads as 1/10**4300, whose denominator str() refuses to write
+        code, out, err = run_cli(capsys, "binomial", "--dataset", "shops", "--tau", "1e-4300",
+                                 "--format", fmt)
+        assert (code, err) == (0, "")
+        assert "1/1" + "0" * 4300 in out
+
     def test_tau_that_is_not_a_number_is_named(self, capsys):
         code, _, err = run_cli(capsys, "binomial", "--dataset", "derksen", "--tau", "nan")
         assert (code, err) == (3, "error: tau must be a rational number, got 'nan'\n")
@@ -266,9 +285,17 @@ class TestReplicate:
         _, second, _ = run_cli(capsys, "replicate", "--format", "json")
         assert first == second
 
+    def test_text_reads_the_json_document_alone(self, capsys):
+        # every figure of the text report is read from the document, so the
+        # JSON output alone renders the same text
+        _, doc, _ = run_cli(capsys, "replicate", "--format", "json")
+        code, text, _ = run_cli(capsys, "replicate")
+        assert code == 0
+        assert pipeline.report_text(json.loads(doc)) + "\nall replication checks passed\n" == text
+
     @pytest.mark.parametrize("fmt", ["json", "csv"])
     def test_text_report_built_only_for_text(self, capsys, monkeypatch, fmt):
-        def refuse(report):
+        def refuse(doc):
             raise AssertionError("text report built for --format " + fmt)
         monkeypatch.setattr(pipeline, "report_text", refuse)
         code, out, _ = run_cli(capsys, "replicate", "--format", fmt)

@@ -30,7 +30,8 @@ from tabaudit.exact import (
     hypergeom_upper_tail,
     tail_table,
 )
-from tabaudit.pipeline import binomial_analysis
+from tabaudit.pipeline import binomial_analysis, binomial_json
+from tabaudit.render import exact_json, render
 from tabaudit.tables import Table2x2
 
 
@@ -178,12 +179,13 @@ class TestBinomial:
         # row is a fraction over 90000**10000 (about 50 000 digits)
         t = Table2x2(125, 9875, 901, 89099)
         r = binomial_analysis(t)
+        rows = binomial_json(r)["rows"]
         binom = stats.binom(10_000, 901 / 90_000)
         assert 0.001 < binom.sf(124) < 0.05
         assert rel_close(r.tail_at_k_obs, binom.sf(124))
         for k in (100, 118, 126):
             assert rel_close(r.tails.at(k), binom.sf(k - 1))
-            assert r.tails.rows[k].value == float(r.tails.at(k))
+            assert rows[k]["value"] == float(r.tails.at(k))
 
     def test_symmetric_coin(self):
         assert binomial_pmf(BinomialParams(2, Fraction(1, 2)), 1) == Fraction(1, 2)
@@ -323,18 +325,13 @@ class TestTailTable:
         with pytest.raises(ValueError, match=f"{field} must be an integer"):
             tail_table(BinomialParams(5, Fraction(1, 2)), k_min, k_max)
 
-    def test_texts_need_params(self):
-        table = TailTable((TailRow(0, 1, 4, 0.25),), scale=8)
-        with pytest.raises(ValueError, match="row texts need the params"):
-            table.texts
-
     def test_row_outside_unit_interval_rejected(self):
         for numerator in (5, -1):
             with pytest.raises(ValueError, match=r"tail at 3 outside \[0, 1\]"):
-                TailTable((TailRow(3, numerator, 4, numerator / 4),), scale=8)
+                TailTable((TailRow(3, numerator, 4, f"{numerator}/4"),), scale=8)
 
     def test_increasing_pair_rejected(self):
-        rows = (TailRow(0, 1, 4, 0.25), TailRow(1, 1, 2, 0.5))
+        rows = (TailRow(0, 1, 4, "1/4"), TailRow(1, 1, 2, "1/2"))
         with pytest.raises(ValueError, match="tail increases at threshold 1"):
             TailTable(rows, scale=8)
         assert TailTable(rows[::-1], scale=8).at(0) == Fraction(1, 4)
@@ -342,7 +339,7 @@ class TestTailTable:
     def test_denominator_must_divide_scale(self):
         for denominator in (3, 16, 0, -2):
             with pytest.raises(ValueError, match="denominator at 0 does not divide the scale"):
-                TailTable((TailRow(0, 1, denominator, 0.0),), scale=8)
+                TailTable((TailRow(0, 1, denominator, f"1/{denominator}"),), scale=8)
 
 
 @st.composite
@@ -462,7 +459,9 @@ class TestAgainstCombOracle:
         for row in rows:
             assert row.exact == oracle.binomial_upper_tail(n, rate, row.threshold)
             assert row.exact == binomial_upper_tail(params, row.threshold)
-            assert row.value == float(row.exact)
+            entry = render(row.numerator, row.denominator, row.text)
+            assert entry == exact_json(row.exact)
+            assert entry["value"] == float(row.exact)
         for x in range(n + 1):
             assert binomial_pmf(params, x) == oracle.binomial_pmf(n, rate, x)
 
@@ -519,7 +518,7 @@ class TestTailRowsOverOneScale:
             assert (row.numerator, row.denominator) == (want.numerator, want.denominator)
             assert math.gcd(row.numerator, row.denominator) == 1
             assert row.exact == want
-            assert row.value == float(row.exact)
+            assert render(row.numerator, row.denominator, row.text)["value"] == float(want)
             if k <= n:
                 below += comb(n, k) * u**k * (d - u) ** (n - k)
         assert (table.rows[0].numerator, table.rows[0].denominator) == (1, 1)
@@ -528,7 +527,7 @@ class TestTailRowsOverOneScale:
     @pytest.mark.parametrize("rate", SMALL_PRIME_RATES)
     def test_empty_draw(self, rate):
         rows = tail_table(BinomialParams(0, rate), 0, 1).rows
-        assert [(r.numerator, r.denominator, r.value) for r in rows] == [(1, 1, 1.0), (0, 1, 0.0)]
+        assert [(r.numerator, r.denominator, r.text) for r in rows] == [(1, 1, "1"), (0, 1, "0")]
 
     @pytest.mark.parametrize("n", [3, 101, 100_001])
     def test_half_row_reduces_in_logarithmic_passes(self, n, monkeypatch):
@@ -553,19 +552,16 @@ class TestTailRowsOverOneScale:
            rate=st.sampled_from(SMALL_PRIME_RATES) | small_prime_rates() | rates,
            data=st.data())
     def test_texts_are_the_decimal_digits(self, n, rate, data):
-        # the decimal pass writes each row as str() of its reduced integers
+        # the decimal recurrence writes each row as str() of its reduced integers
         if data is None:
             k_min, k_max = 0, n + 1
         else:
             k_min = data.draw(st.integers(min_value=0, max_value=n + 1))
             k_max = data.draw(st.integers(min_value=k_min, max_value=n + 1))
-        table = tail_table(BinomialParams(n, rate), k_min, k_max)
-        assert len(table.texts) == len(table.rows)
-        for row, text in zip(table.rows, table.texts):
+        for row in tail_table(BinomialParams(n, rate), k_min, k_max).rows:
             want = (str(row.numerator) if row.denominator == 1
                     else f"{row.numerator}/{row.denominator}")
-            assert text == want
-        assert table.texts is table.texts
+            assert row.text == want
 
     def test_exact_is_built_once(self):
         row = tail_table(BinomialParams(40, Fraction(7, 72)), 5, 5).rows[0]

@@ -23,7 +23,7 @@ from tabaudit.pipeline import (
     report_text,
     tail_rows,
 )
-from tabaudit.exact import BinomialParams, binomial_upper_tail, tail_table
+from tabaudit.exact import BinomialParams, binomial_upper_tail
 from tabaudit.render import exact_json, sig6
 from tabaudit.tables import StratifiedTable, Table2x2
 
@@ -200,7 +200,8 @@ class TestReplicate:
         ward = StratifiedTable((("W", Table2x2(3, 20, 5, 200)),), name="ward")
         report = replicate(["ward"], registry={"ward": ward})
         assert report_json(report)["simpson"] == {"ward": None}
-        assert "Simpson check\n  ward: single stratum, not applicable\n" in report_text(report)
+        assert ("Simpson check\n  ward: single stratum, not applicable\n"
+                in report_text(report_json(report)))
 
     def test_datasets_left_out_are_missing_from_verification(self):
         failures = references.check_report_json(report_json(replicate(("shops",))))
@@ -285,7 +286,7 @@ class TestReplicate:
         assert a == b
 
     def test_text_report_carries_headline_numbers(self):
-        text = report_text(replicate())
+        text = report_text(report_json(replicate()))
         for token in ("0.158169", "0.0614621", "-0.125", "3.42638e+08", "141494",
                       "688.367", "1.64051", "86.9055", "3.48574e+08"):
             assert token in text
@@ -349,8 +350,8 @@ class TestExactJson:
             assert len(doc["rows"]) == len(r.tails.rows) == 42
             for entry, row in zip(doc["rows"], r.tails.rows):
                 assert entry["threshold"] == row.threshold
-                assert entry["fraction"] == str(row.exact)
-                assert entry["value"] == row.value == float(row.exact)
+                assert entry["fraction"] == row.text == str(row.exact)
+                assert entry["value"] == float(row.exact)
                 assert entry["display"] == sig6(row.exact)
             assert doc["tail_at_k_obs"]["fraction"] == str(r.tail_at_k_obs)
         finally:
@@ -405,11 +406,13 @@ class TestExactJson:
         assert exact_json(Fraction(0))["display"] == sig6(0.0) == "0"
 
     def test_tail_rows_display_exact_below_float_range(self):
-        # rows from ~1e-308 down to 1e-800 are subnormal or flush to 0 as floats
-        tails = tail_table(BinomialParams(400, Fraction(1, 100)), 0, 401)
-        assert any(0 < row.value < sys.float_info.min for row in tails.rows)
-        rows = tail_rows(tails)
-        assert [text for _, text in rows] == [sig6(row.exact) for row in tails.rows]
+        # 400 draws at 1/100: rows from ~1e-308 down to 1e-800 are subnormal
+        # or flush to 0 as floats
+        r = binomial_analysis(Table2x2(4, 396, 1, 99), k_range=(0, 401))
+        doc = binomial_json(r)
+        assert any(0 < entry["value"] < sys.float_info.min for entry in doc["rows"])
+        rows = tail_rows(doc["rows"])
+        assert [text for _, text in rows] == [sig6(row.exact) for row in r.tails.rows]
         assert rows[400] == [">= 400", "1e-800"]
         assert rows[401] == [">= 401", "0"]
 
