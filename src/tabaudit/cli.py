@@ -16,6 +16,9 @@ its text from that document alone, so every number is written once, by the
 document's builder, and reads the same in every format; only ``--format
 text`` calls it. ``main`` puts ``"dataset"`` and ``"table"`` first in the
 document, writes it once, and exits 4 if its ``verification`` failed.
+``svg`` and ``replicate --figures`` share one builder, :func:`svg_json`: the
+figure's caption quotes the document's correlation and area-ratio display
+strings, and the SVG is drawn from that caption.
 """
 
 from __future__ import annotations
@@ -48,17 +51,6 @@ class CliInputError(Exception):
 #: ValueError, TableValidationError and SupportError among them, is an analysis
 #: or validation error (exit code 3). Any other KeyError is a bug and surfaces.
 _INPUT_ERRORS = (CliInputError, datasets.DatasetFormatError, datasets.UnknownDatasetError)
-
-
-def _figure(table):
-    """Correlation, determinant figure, two-line caption and SVG of one table."""
-    corr = nominal_correlation(table)
-    fig = determinant_figure(table)
-    caption = (
-        f"correlation {sig6(corr.value)}",
-        f"area ratio {sig6(fig.area_ratio)} ({fig.parallelogram_area}/{fig.rect_area})",
-    )
-    return corr, fig, caption, render_determinant_svg(fig, caption)
 
 
 def _flatten(doc, prefix: str = "", rows: list | None = None) -> list[tuple[str, str]]:
@@ -184,8 +176,7 @@ def cmd_replicate(args):
         fig_dir = Path(args.figures)
         fig_dir.mkdir(parents=True, exist_ok=True)
         for name in doc["datasets"]:
-            *_, svg = _figure(collapse(datasets.get(name)))
-            (fig_dir / f"{name}.svg").write_text(svg)
+            (fig_dir / f"{name}.svg").write_text(svg_json(collapse(datasets.get(name)))["svg"])
 
     summary = ("all replication checks passed"
                if not failures else "REPLICATION MISMATCH:\n  " + "\n  ".join(failures))
@@ -221,16 +212,22 @@ def cmd_simulate(args, table, head: str):
     )
 
 
+def svg_json(table) -> dict:
+    """The figure document of ``table``: its correlation and area ratio, then a
+    caption quoting their display strings, then the SVG drawn with that caption."""
+    fig = determinant_figure(table)
+    doc = {"correlation": float_json(nominal_correlation(table).value),
+           "parallelogram_area": fig.parallelogram_area, "rect_area": fig.rect_area,
+           "area_ratio": exact_json(fig.area_ratio)}
+    doc["caption"] = [f"correlation {doc['correlation']['display']}",
+                      f"area ratio {doc['area_ratio']['display']} "
+                      f"({fig.parallelogram_area}/{fig.rect_area})"]
+    doc["svg"] = render_determinant_svg(fig, doc["caption"])
+    return doc
+
+
 def cmd_svg(args, table, head: str):
-    corr, fig, caption, svg = _figure(table)
-    doc = {
-        "correlation": float_json(corr.value),
-        "parallelogram_area": fig.parallelogram_area,
-        "rect_area": fig.rect_area,
-        "area_ratio": exact_json(fig.area_ratio),
-        "caption": list(caption),
-        "svg": svg,
-    }
+    doc = svg_json(table)
     return doc, lambda: doc["svg"]
 
 

@@ -85,6 +85,7 @@ from functools import cached_property
 from itertools import islice
 from math import comb, gcd, prod
 
+from .render import fraction_text
 from .tables import Table2x2
 
 
@@ -106,8 +107,9 @@ def _as_int(value, field: str) -> int:
 def _as_number(value, field: str, outside: str = "") -> Fraction:
     """``value`` as an exact rational; a boolean or a non-number raises
     ``ValueError`` naming ``field``. Given ``outside``, so does a value outside
-    [0, 1], with ``outside`` formatted with the text or the rational as the
-    message.
+    [0, 1], with ``outside`` formatted with the text as given, or else with
+    the rational as :func:`render.fraction_text` writes it at any size, as
+    the message.
 
     Text is read by ``Decimal`` once, before ``Fraction`` sees it.
     ``Decimal`` keeps the exponent that ``Fraction`` writes out digit by digit
@@ -137,7 +139,7 @@ def _as_number(value, field: str, outside: str = "") -> Fraction:
             pass
         else:
             if outside and not 0 <= number <= 1:
-                raise ValueError(outside.format(number))
+                raise ValueError(outside.format(fraction_text(*number.as_integer_ratio())))
             return number
     raise ValueError(f"{field} must be a rational number, got {value!r}")
 

@@ -22,9 +22,9 @@ from typing import Mapping, Sequence
 from . import datasets
 from .association import POOLED_LABEL, RateTable, rate_table
 from .confounding import CollapseComparison, SimpsonVerdict, collapse_comparison, simpson_check
-from .exact import (BinomialParams, TailTable, _as_int, _as_number, binomial_upper_tail,
-                    fisher_upper_tail, tail_table)
-from .render import exact_json, float_json, render, sig6, text_table
+from .exact import (BinomialParams, TailRow, TailTable, _as_int, _as_number, fisher_upper_tail,
+                    tail_table)
+from .render import exact_json, float_json, fraction_text, inverse, render, text_table
 from .tables import StratifiedTable, Table2x2, collapse
 
 #: Tail-table threshold ranges used by ``replicate`` for the embedded
@@ -91,11 +91,13 @@ class BinomialAnalysisResult:
 
     The suspect draws ``draws`` times (their shift count) at the comparison
     group's pooled rate ``null_rate``; ``tails`` lists P(X >= k) over the
-    requested thresholds. ``expected`` is the exact mean draws * null_rate and
-    ``k_star`` the smallest threshold in range whose tail drops below ``tau``
-    (both are reported because "how many cases one would expect" admits
-    either reading). ``one_in_n`` is None if the tail at the observed count
-    is exactly zero.
+    requested thresholds. ``observed`` is always a tail-table row, P(X >= k_obs):
+    the row of ``tails`` where the range holds ``k_obs``, else the one row of
+    ``tail_table(params, k_obs, k_obs)``. ``tail_at_k_obs`` and ``one_in_n``
+    read it; ``one_in_n`` is None if that tail is exactly zero. ``expected``
+    is the exact mean draws * null_rate and ``k_star`` the smallest threshold
+    in range whose tail drops below ``tau`` (both are reported because "how
+    many cases one would expect" admits either reading).
     """
 
     draws: int
@@ -103,11 +105,18 @@ class BinomialAnalysisResult:
     suspect_rate: Fraction | None      # p1: suspect incidents per shift
     k_obs: int
     tails: TailTable
-    tail_at_k_obs: Fraction
-    one_in_n: Fraction | None
+    observed: TailRow                   # P(X >= k_obs)
     expected: Fraction
     tau: Fraction
     k_star: int | None
+
+    @property
+    def tail_at_k_obs(self) -> Fraction:
+        return self.observed.exact
+
+    @property
+    def one_in_n(self) -> Fraction | None:
+        return None if self.observed.numerator == 0 else 1 / self.observed.exact
 
 
 def null_rate(t: Table2x2) -> Fraction:
@@ -122,9 +131,9 @@ def binomial_analysis(
     k_range: tuple[int, int] | None = None,
     tau: Fraction | float | str = Fraction(1, 20),
 ) -> BinomialAnalysisResult:
-    tau = _as_number(tau, "tau")
-    if not 0 < tau <= 1:
-        raise ValueError(f"tau {tau} outside (0, 1]")
+    tau = _as_number(tau, "tau", "tau {} outside (0, 1]")   # quotes text as given
+    if tau == 0:
+        raise ValueError("tau 0 outside (0, 1]")
     p0 = null_rate(t)
     suspect_rate = Fraction(t.a, t.row1) if t.row1 else None
     draws, k_obs = t.row1, t.a
@@ -133,10 +142,7 @@ def binomial_analysis(
     params = BinomialParams(draws, p0)
     k_min, k_max = k_range
     tails = tail_table(params, k_min, k_max)
-    if k_min <= k_obs <= k_max:
-        tail_obs = tails.rows[k_obs - k_min].exact
-    else:
-        tail_obs = binomial_upper_tail(params, k_obs)
+    rows = tails.rows if k_min <= k_obs <= k_max else tail_table(params, k_obs, k_obs).rows
     k_star = next((row.threshold for row in tails.rows
                    if row.numerator * tau.denominator < tau.numerator * row.denominator), None)
     return BinomialAnalysisResult(
@@ -145,8 +151,7 @@ def binomial_analysis(
         suspect_rate=suspect_rate,
         k_obs=k_obs,
         tails=tails,
-        tail_at_k_obs=tail_obs,
-        one_in_n=None if tail_obs == 0 else 1 / tail_obs,
+        observed=rows[k_obs - rows[0].threshold],
         expected=draws * p0,
         tau=tau,
         k_star=k_star,
@@ -228,8 +233,7 @@ def correlation_json(r) -> dict:
         "det": r.det,
         "row_picture_ratio": exact_json(r.row_picture_ratio),
         "col_picture_ratio": exact_json(r.col_picture_ratio),
-        "value": r.value,
-        "display": sig6(r.value),
+        **float_json(r.value),
     }
 
 
@@ -259,13 +263,14 @@ def simpson_json(verdict: SimpsonVerdict) -> dict:
 
 
 def fisher_json(r: FisherPipelineResult) -> dict:
+    corrected = exact_json(r.corrected)
     return {
         "mode": r.mode,
         "n_nurses": r.n_nurses,
         "stratum_tails": per_stratum_json(r.stratum_tails, exact_json),
         "product": exact_json(r.product),
-        "corrected": exact_json(r.corrected),
-        "one_in_n": exact_json(r.one_in_n),
+        "corrected": corrected,
+        "one_in_n": inverse(r.corrected.numerator, r.corrected.denominator, corrected["fraction"]),
         "exceeds_one": r.exceeds_one,
     }
 
@@ -297,25 +302,8 @@ def tail_rows(rows: list[dict]) -> list[list[str]]:
     return [[f">= {row['threshold']}", row["display"]] for row in rows]
 
 
-def _k_obs_json(r: BinomialAnalysisResult) -> dict:
-    """``tail_at_k_obs`` and ``one_in_n``. Where ``k_obs`` is in the table, both
-    are written from its row, which is in lowest terms, so the reciprocal
-    swaps the row's numerator and denominator and their texts."""
-    i = r.k_obs - r.tails.rows[0].threshold
-    if not 0 <= i < len(r.tails.rows):
-        return {"tail_at_k_obs": exact_json(r.tail_at_k_obs), "one_in_n": exact_json(r.one_in_n)}
-    row = r.tails.rows[i]
-    if row.numerator == 0:
-        inverse = None
-    else:
-        num, _, den = row.text.partition("/")   # den is "" where the row is 1
-        inverse = render(row.denominator, row.numerator,
-                         f"{den}/{num}" if row.numerator > 1 else den or num)
-    return {"tail_at_k_obs": render(row.numerator, row.denominator, row.text),
-            "one_in_n": inverse}
-
-
 def binomial_json(r: BinomialAnalysisResult) -> dict:
+    obs = r.observed   # tail_at_k_obs is this row, one_in_n its inverse
     return {
         "draws": r.draws,
         "null_rate": exact_json(r.null_rate),
@@ -323,9 +311,10 @@ def binomial_json(r: BinomialAnalysisResult) -> dict:
         "k_obs": r.k_obs,
         "rows": [{"threshold": row.threshold, **render(row.numerator, row.denominator, row.text)}
                  for row in r.tails.rows],
-        **_k_obs_json(r),
+        "tail_at_k_obs": render(obs.numerator, obs.denominator, obs.text),
+        "one_in_n": inverse(obs.numerator, obs.denominator, obs.text),
         "expected": exact_json(r.expected),
-        "tau": render(r.tau.numerator, r.tau.denominator)["fraction"],
+        "tau": fraction_text(r.tau.numerator, r.tau.denominator),
         "k_star": r.k_star,
     }
 

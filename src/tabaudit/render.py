@@ -60,11 +60,12 @@ def _sig6_exact(f: Fraction) -> str:
     return f"{sign}{mantissa}e{'-' if e < 0 else '+'}{abs(e):02d}"
 
 
-def _int_text(n: int) -> str:
+def fraction_text(num: int, den: int) -> str:
+    """``"num/den"``, or ``"num"`` where ``den`` is 1, in decimal digits at any size."""
     try:
-        return str(n)
+        return str(num) if den == 1 else f"{num}/{den}"
     except ValueError:  # past sys.get_int_max_str_digits(); Decimal prints any size
-        return str(Decimal(n))
+        return str(Decimal(num)) if den == 1 else f"{Decimal(num)}/{Decimal(den)}"
 
 
 def render(num: int, den: int, text: str | None = None) -> dict:
@@ -77,7 +78,7 @@ def render(num: int, den: int, text: str | None = None) -> dict:
     range.
     """
     if text is None:
-        text = _int_text(num) if den == 1 else f"{_int_text(num)}/{_int_text(den)}"
+        text = fraction_text(num, den)
     try:
         value = num / den
     except OverflowError:
@@ -86,15 +87,24 @@ def render(num: int, den: int, text: str | None = None) -> dict:
             "display": _sig6(value, lambda: Fraction(num, den))}
 
 
+def inverse(num: int, den: int, text: str) -> dict | None:
+    """:func:`render` of ``den / num``, the reciprocal of the value that ``text``
+    writes as ``num / den`` in lowest terms, or None where ``num`` is 0. The
+    two parts of ``text`` are swapped, ``"1"`` standing in for a missing one."""
+    if num == 0:
+        return None
+    top, _, bottom = text.partition("/")
+    bottom = bottom or "1"
+    return render(den, num, bottom if num == 1 else f"{bottom}/{top}")
+
+
 def exact_json(f: Fraction | None) -> dict | None:
     """:func:`render` of an exact rational, or None."""
     return None if f is None else render(f.numerator, f.denominator)
 
 
 def float_json(x: float | None) -> dict | None:
-    if x is None:
-        return None
-    return {"value": x, "display": sig6(x)}
+    return None if x is None else {"value": x, "display": sig6(x)}
 
 
 def text_table(headers: Sequence[str], rows: Sequence[Sequence[str]]) -> str:

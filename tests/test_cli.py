@@ -2,14 +2,20 @@
 
 from __future__ import annotations
 
+import argparse
+import contextlib
 import hashlib
+import io
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from conftest import to_csv_text
+from conftest import stratified_tables, to_csv_text
 from tabaudit import datasets, pipeline
 from tabaudit.cli import PROG, build_parser, main
 from tabaudit.tables import StratifiedTable, Table2x2
@@ -216,6 +222,33 @@ class TestBinomial:
         assert (code, err) == (0, "")
         assert "1/1" + "0" * 4300 in out
 
+    @pytest.mark.parametrize("fmt", ["text", "json", "csv"])
+    @pytest.mark.parametrize("tau", ["1e4300", "12e4299", "-1e4300"])
+    def test_tau_past_the_int_digit_limit_outside_the_range(self, capsys, tau, fmt):
+        # str() of the rational refuses its 4 301 digits; the message quotes the text
+        code, out, err = run_cli(capsys, "binomial", "--dataset", "shops", f"--tau={tau}",
+                                 "--format", fmt)
+        assert (code, out, err) == (3, "", f"error: tau {tau} outside (0, 1]\n")
+
+    @pytest.mark.parametrize("k_min, k_max", [("0", "3"), ("41", "45")])
+    def test_observed_row_outside_the_range_on_big_rows(self, capsys, tmp_path, k_min, k_max):
+        # 2 000 draws at 13/1533: the row at k_obs = 40 is over a divisor of
+        # 1533**2000, past str()'s 4 300 digits; a range that leaves it out
+        # writes the same two entries as the default range, which holds it
+        path = tmp_path / "big.csv"
+        path.write_text("w,40,1960,13,1520\n")
+        docs = []
+        for extra in ((), ("--k-min", k_min, "--k-max", k_max)):
+            code, out, err = run_cli(capsys, "binomial", "--input", str(path),
+                                     "--format", "json", *extra)
+            assert (code, err) == (0, "")
+            docs.append(json.loads(out))
+        default, narrowed = docs
+        assert len(narrowed["rows"]) < len(default["rows"])
+        for key in ("tail_at_k_obs", "one_in_n"):
+            assert json.dumps(narrowed[key]) == json.dumps(default[key])
+        assert len(default["one_in_n"]["fraction"]) > 2 * 4300
+
     def test_tau_that_is_not_a_number_is_named(self, capsys):
         code, _, err = run_cli(capsys, "binomial", "--dataset", "derksen", "--tau", "nan")
         assert (code, err) == (3, "error: tau must be a rational number, got 'nan'\n")
@@ -279,6 +312,20 @@ class TestReplicate:
             content = (fig_dir / f"{name}.svg").read_text()
             assert content.startswith("<?xml")
         assert "area ratio 0.40897" in (fig_dir / "original.svg").read_text()
+
+    def test_figures_are_the_svg_command_output(self, capsys, tmp_path):
+        # one builder writes both: the caption quotes the svg document's displays
+        run_cli(capsys, "replicate", "--figures", str(tmp_path))
+        for name in ("original", "derksen", "shops"):
+            code, out, _ = run_cli(capsys, "svg", "--dataset", name)
+            assert code == 0
+            assert (tmp_path / f"{name}.svg").read_text() == out
+            code, out, _ = run_cli(capsys, "svg", "--dataset", name, "--format", "json")
+            doc = json.loads(out)
+            assert doc["caption"] == [
+                f"correlation {doc['correlation']['display']}",
+                f"area ratio {doc['area_ratio']['display']} "
+                f"({doc['parallelogram_area']}/{doc['rect_area']})"]
 
     def test_deterministic_bytes(self, capsys):
         _, first, _ = run_cli(capsys, "replicate", "--format", "json")
@@ -497,6 +544,110 @@ class TestEntryPoint:
             capture_output=True, text=True,
         )
         assert proc.returncode == 2
+
+
+# ---------------------------------------------------------------------------
+# the CLI as one total function: every invocation the parser can be given
+# exits 0, 2, 3 or 4, says why on stderr, and repeats byte for byte
+
+_SUBCOMMANDS = next(a for a in build_parser()._actions
+                    if isinstance(a, argparse._SubParsersAction)).choices
+
+#: --tau texts: in range, exact, past the int digit limit, and not numbers.
+_TAU_TEXTS = ("0.05", "1", "0", "1/3", "1e-400", "1e-4300", "0.30000000000000001", "2",
+              "1e4300", "12e4299", "-1e4300", "nan", "inf", "x", "1e999999999999999999999")
+
+
+@st.composite
+def _source_bytes(draw, suffix: str) -> bytes:
+    """A dataset file: valid, corrupted, undecodable, or one all-zero table."""
+    kind = draw(st.sampled_from(["valid", "corrupted", "undecodable", "zero"]))
+    ds = draw(stratified_tables(max_strata=3))
+    if kind == "zero":
+        ds = StratifiedTable((("w", Table2x2(0, 0, 0, 0)),), name="zero")
+    text = to_csv_text(ds) if suffix == ".csv" else json.dumps(datasets.to_json_dict(ds))
+    data = text.encode()
+    at = draw(st.integers(0, len(data)))
+    if kind == "corrupted":
+        cut = draw(st.integers(0, 3))
+        data = data[:at] + draw(st.binary(max_size=4)) + data[at + cut:]
+    elif kind == "undecodable":
+        data = data[:at] + b"\xff" + data[at:]
+    return data
+
+
+@st.composite
+def _invocations(draw, root: Path):
+    """``(argv, source, data)``: a subcommand with options drawn from its
+    parser's own actions, and the dataset file they may name with its bytes."""
+    command = draw(st.sampled_from(sorted(_SUBCOMMANDS)))
+    suffix = draw(st.sampled_from([".csv", ".json"]))
+    source = root / f"source{suffix}"
+    paths = [str(root), str(root / "missing" / "x")]   # a directory, and no directory
+    operands = st.sampled_from([*datasets.available(), str(source), "bogus"])
+    numbers = st.integers(-3, 300).map(str) | st.sampled_from(["x", str(2**64)])
+    values = {
+        "tau": st.sampled_from(_TAU_TEXTS),
+        "dataset": st.sampled_from([*datasets.available(), "bogus"]),
+        "stratum": st.sampled_from(["JKZ", "RKZ1", "Shop1", "S0", "All", "nope"]),
+        "input": st.just(str(source)),
+        "first": operands, "second": operands,
+        "out": st.sampled_from([str(root / "out.txt"), *paths]),
+        "log": st.sampled_from([str(root / "log.csv"), *paths]),
+        "figures": st.sampled_from([str(root / "figures"), str(source)]),
+        "trials": st.integers(-2, 3000).map(str),
+    }
+    argv = [command]
+    for action in _SUBCOMMANDS[command]._actions:
+        if isinstance(action, argparse._HelpAction):
+            continue
+        if action.option_strings and not draw(st.booleans()):
+            continue
+        if action.nargs == 0:
+            argv.append(action.option_strings[0])
+            continue
+        if action.choices:
+            value = st.sampled_from([*action.choices, "bogus"])
+        else:
+            value = values.get(action.dest, numbers)
+        value = draw(value)   # "--tau=-1e4300": argparse reads "-1e4300" alone as an option
+        argv.append(f"{action.option_strings[0]}={value}" if action.option_strings else value)
+    return argv, source, draw(_source_bytes(suffix))
+
+
+class TestCliProperty:
+    @pytest.fixture(scope="class")
+    def root(self, tmp_path_factory):
+        return tmp_path_factory.mktemp("cli-property")
+
+    def run(self, argv, out_file: Path):
+        out, err = io.StringIO(), io.StringIO()
+        out_file.unlink(missing_ok=True)
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            try:
+                code = main(argv)
+            except SystemExit as exc:   # argparse refuses the invocation
+                code = exc.code
+        written = out_file.read_text() if out_file.exists() else None
+        return code, out.getvalue(), err.getvalue(), written
+
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data())
+    def test_every_invocation_exits_with_a_documented_code(self, root, data):
+        argv, source, content = data.draw(_invocations(root), label="invocation")
+        source.write_bytes(content)
+        first = self.run(argv, root / "out.txt")
+        code, out, err, written = first
+        assert code in (0, 2, 3, 4)
+        assert "Traceback" not in err and "Exceeds the limit" not in err
+        if code == 0:
+            assert err == ""
+            if "--format=json" in argv:
+                json.loads(out if written is None else written)
+        else:
+            assert err.startswith("usage: ") or (err.startswith("error: ")
+                                                 and err.count("\n") == 1)
+        assert self.run(argv, root / "out.txt") == first
 
 
 # SHA-256 of the program's and each subcommand's --help at 80 columns, pinned

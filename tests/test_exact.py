@@ -232,6 +232,11 @@ class TestBinomial:
         for text, rate in (("1/3", Fraction(1, 3)), ("2.5e-1", Fraction(1, 4)), ("1", 1)):
             assert BinomialParams(5, text).rate == rate
 
+    def test_rate_past_the_int_digit_limit_is_named(self):
+        # str() of the rational refuses its 4 301 digits; the message writes them
+        with pytest.raises(ValueError, match=r"^rate 10{4300} outside \[0, 1\]$"):
+            BinomialParams(5, Fraction(10**4300))
+
     @pytest.mark.parametrize("text", ["1e-1000000", "1e-100000000", "0.5e-1000000000"])
     def test_in_range_rate_text_with_a_long_exponent_refused(self, text):
         # Fraction(text) writes out 10**1000000 (0.3 s) or 10**100000000 (minutes)

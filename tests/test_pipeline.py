@@ -17,6 +17,7 @@ from tabaudit import datasets, references
 from tabaudit.pipeline import (
     binomial_analysis,
     binomial_json,
+    fisher_json,
     fisher_pipeline,
     replicate,
     report_json,
@@ -24,11 +25,18 @@ from tabaudit.pipeline import (
     tail_rows,
 )
 from tabaudit.exact import BinomialParams, binomial_upper_tail
-from tabaudit.render import exact_json, sig6
+from tabaudit.render import exact_json, inverse, sig6
 from tabaudit.tables import StratifiedTable, Table2x2
 
 ORIGINAL = datasets.get("original")
 DERKSEN = datasets.get("derksen")
+
+
+def swapped(text: str) -> str:
+    """The text of the reciprocal of the lowest-terms fraction ``text``: its two
+    parts swapped, a whole number's missing denominator read as 1."""
+    num, den = (text.split("/") + ["1"])[:2]
+    return den if num == "1" else f"{den}/{num}"
 
 
 class TestFisherPipeline:
@@ -96,6 +104,26 @@ class TestFisherPipeline:
         with pytest.raises(ValueError, match="mode"):
             fisher_pipeline(ORIGINAL, 27, "sideways")
 
+    @pytest.mark.parametrize("mode", ["stratified", "collapsed"])
+    @pytest.mark.parametrize("name", datasets.available())
+    def test_one_in_n_is_corrected_swapped(self, name, mode):
+        r = fisher_pipeline(datasets.get(name), 27, mode)
+        doc = fisher_json(r)
+        assert doc["one_in_n"]["fraction"] == swapped(doc["corrected"]["fraction"])
+        assert doc["one_in_n"] == exact_json(r.one_in_n)
+
+    @pytest.mark.parametrize("strata, nurses, corrected, one_in_n", [
+        ((Table2x2(0, 5, 3, 7), Table2x2(0, 2, 1, 1)), 27, "27", "1/27"),   # every tail is 1
+        ((Table2x2(0, 5, 3, 7),), 1, "1", "1"),
+        ((Table2x2(1, 0, 0, 1),), 1, "1/2", "2"),                          # numerator 1
+        ((Table2x2(1, 0, 0, 1),), 27, "27/2", "2/27"),
+    ])
+    def test_one_in_n_text_of_whole_and_unit_fractions(self, strata, nurses, corrected, one_in_n):
+        s = StratifiedTable(tuple((f"S{i}", t) for i, t in enumerate(strata)))
+        doc = fisher_json(fisher_pipeline(s, nurses))
+        assert (doc["corrected"]["fraction"], doc["one_in_n"]["fraction"]) == (corrected, one_in_n)
+        assert doc["one_in_n"] == exact_json(1 / Fraction(corrected))
+
 
 class TestBinomialAnalysis:
     def test_original_pooled(self):
@@ -158,6 +186,19 @@ class TestBinomialAnalysis:
                 binomial_analysis(t, tau=tau)
         assert binomial_analysis(t, tau=1).k_star == 1   # P(X >= 0) = 1 is not < 1
 
+    @pytest.mark.parametrize("tau", [Fraction(10**4300), -Fraction(10**4300),
+                                     Fraction(10**4300 + 1, 3)])
+    def test_tau_past_the_int_digit_limit_is_named(self, tau):
+        # str() of tau refuses its digits: the message used to be that refusal
+        with pytest.raises(ValueError) as info:
+            binomial_analysis(Table2x2(14, 187, 13, 1520), tau=tau)
+        limit = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(0)
+        try:
+            assert info.value.args == (f"tau {tau} outside (0, 1]",)
+        finally:
+            sys.set_int_max_str_digits(limit)
+
     def test_tau_must_be_a_number(self):
         t = Table2x2(14, 187, 13, 1520)
         for tau in (True, None, "x"):   # True ran as tau = 1
@@ -173,6 +214,16 @@ class TestBinomialAnalysis:
         t = Table2x2(14, 187, 13, 1520)
         r = binomial_analysis(t, k_range=k_range)
         assert r.tail_at_k_obs == binomial_upper_tail(BinomialParams(201, Fraction(13, 1533)), 14)
+        assert r.observed == binomial_analysis(t).tails.rows[14]   # always a table row
+
+    @pytest.mark.parametrize("k_range", [(0, 3), (41, 45)])
+    def test_observed_row_out_of_range_on_big_rows(self, k_range):
+        # 2000 draws at 13/1533: the row at k_obs = 40 passes str()'s 4300 digits
+        t = Table2x2(40, 1960, 13, 1520)
+        full, narrowed = binomial_analysis(t), binomial_analysis(t, k_range=k_range)
+        assert narrowed.observed == full.observed == full.tails.rows[40]
+        assert narrowed.tail_at_k_obs == full.tail_at_k_obs
+        assert narrowed.one_in_n == full.one_in_n == 1 / full.tail_at_k_obs
 
 
 class TestReplicate:
@@ -392,6 +443,13 @@ class TestExactJson:
         doc = binomial_json(r)
         assert doc["tail_at_k_obs"] == exact_json(r.tail_at_k_obs)
         assert doc["one_in_n"] == exact_json(r.one_in_n)
+
+    @pytest.mark.parametrize("f", [Fraction(1), Fraction(27), Fraction(1, 8), Fraction(3, 8),
+                                   Fraction(10**4400, 7), Fraction(7, 10**4400 + 1)])
+    def test_inverse_is_the_reciprocal(self, f):
+        entry = exact_json(f)
+        assert inverse(f.numerator, f.denominator, entry["fraction"]) == exact_json(1 / f)
+        assert inverse(0, 1, "0") is None
 
     def test_display_past_float_range(self):
         # 6 significant figures of the exact value, rounded half to even
