@@ -45,31 +45,35 @@ because a ``Fraction`` is always kept in lowest terms.
 
 A binomial tail table keeps each row as integers over the table's shared
 ``scale = d**n``: the row for k is (scale - below) / scale, where ``below``
-sums T(x) for x < k. Range and monotonicity are checked by comparing those
-numerators. Every prime that a row's numerator shares with the scale
-divides d, so the row reaches lowest terms by dividing out powers of
-b = gcd(numerator, d, denominator): b, b**2, b**4, ... while each divides
-both, then the rest one square at a time, and again with the next, smaller
-b until it is 1. Each step is a gcd or a division by an int at most as long
-as the shared part, never a gcd of two big ints of the row's length, and
-the steps grow logarithmically in the shared power. A row carries its
-reduced numerator and denominator and its decimal text; its ``Fraction``
-(the identical one) is built on its first read and kept.
+sums T(x) for x < k. When fewer terms lie from the table's first threshold
+to n than below it, the row is instead ``above`` / scale, where ``above``
+sums T(x) for x >= k, and the terms step down from T(n) = u**n by
+T(x-1) = T(x) x v // ((n - x + 1) u): the terms at rate v/d stepped up.
+Range and monotonicity are checked by comparing those numerators. Every
+prime that a row's numerator shares with the scale divides d, so the row
+reaches lowest terms by dividing out powers of b = gcd(numerator, d,
+denominator): b, b**2, b**4, ... while each divides both, then the rest one
+square at a time, and again with the next, smaller b until it is 1. Each step is a gcd or a
+division by an int at most as long as the shared part, never a gcd of two
+big ints of the row's length, and the steps grow logarithmically in the
+shared power. A row carries its reduced numerator and denominator and its
+decimal text; its ``Fraction`` (the identical one) is built on its first
+read and kept.
 
 :func:`tail_table` writes each row's decimal text in the loop that builds
 the row, from the same recurrence run in ``decimal.Decimal`` alongside the
 int one, under a context that cannot round: ``prec=MAX_PREC``,
 ``Emax=MAX_EMAX``, ``Emin=MIN_EMIN``, with ``Inexact`` and ``Rounded``
-trapped. It starts from ``Decimal(v) ** n`` and ``Decimal(d) ** n``, so no
-big int is ever converted to decimal, which takes quadratic time
-(``str(int)`` on CPython 3.11, ``Decimal(int)``). A row's text is
-(scale - below) / G over scale / G, where G is the product of
-``Decimal(b) ** e`` over the ``(b, e)`` pairs that reduced the row. Both
-divisions are exact. The steps, the divisions and ``str(Decimal)`` take
-time linear in the digits while G is short, as it is for most rows, and
-G = 1 needs no division. Rows equal to 0 or 1 are written directly. Every
-output format serializes every table it builds, so the text is built with
-the row rather than on demand.
+trapped. It starts from ``Decimal(v) ** n`` (``Decimal(u) ** n`` when it
+steps down) and ``Decimal(d) ** n``, so no big int is ever converted to
+decimal, which takes quadratic time (``str(int)`` on CPython 3.11,
+``Decimal(int)``). A row's text is its numerator over scale, divided by G,
+over scale / G, where G is the product of ``Decimal(b) ** e`` over the
+``(b, e)`` pairs that reduced the row. Both divisions are exact. The steps, the
+divisions and ``str(Decimal)`` take time linear in the digits while G is
+short, as it is for most rows, and G = 1 needs no division. Rows equal to 0
+or 1 are written directly. Every output format serializes every table it
+builds, so the text is built with the row rather than on demand.
 """
 
 from __future__ import annotations
@@ -399,8 +403,10 @@ def tail_table(params: BinomialParams, k_min: int, k_max: int) -> TailTable:
 
     Thresholds are taken literally: the row for k is P(X >= k). The int
     recurrence gives each row in lowest terms and the exact ``Decimal`` one,
-    stepped with it, gives its text (see the module docstring). Rows that
-    divide out the same ``(b, e)`` pairs share G and the denominator's text.
+    stepped with it, gives its text (see the module docstring). Both sum the
+    shorter side: up from x = 0, or down from x = n when fewer terms lie
+    from ``k_min`` to n than below it. Rows that divide out the same
+    ``(b, e)`` pairs share G and the denominator's text.
     """
     k_min, k_max = _as_int(k_min, "k_min"), _as_int(k_max, "k_max")
     n = params.draws
@@ -408,15 +414,21 @@ def tail_table(params: BinomialParams, k_min: int, k_max: int) -> TailTable:
         raise SupportError(f"threshold range [{k_min}, {k_max}] outside [0, {n + 1}]")
     d = params.rate.denominator
     scale = d**n
+    # T at rate 1 - u/d runs T(n), T(n-1), ..., T(0), from u**n down
+    upper = n + 1 - k_min < k_min   # fewer terms from k_min to n than below it
+    if upper:
+        thresholds, rate, skip = range(k_max, k_min - 1, -1), 1 - params.rate, n + 1 - k_max
+    else:
+        thresholds, rate, skip = range(k_min, k_max + 1), params.rate, k_min
     rows, denominators = [], {}   # shared pairs -> (G, text of scale / G)
     with localcontext(_EXACT):
-        terms = _numerators(n, params.rate, 0)
-        decimal_terms = _numerators(n, params.rate, 0, Decimal)
-        below = sum(islice(terms, k_min))
+        terms = _numerators(n, rate, 0)
+        decimal_terms = _numerators(n, rate, 0, Decimal)
+        partial = sum(islice(terms, skip))
         decimal_scale = Decimal(d) ** n
-        decimal_below = sum(islice(decimal_terms, k_min), Decimal(0))
-        for k in range(k_min, k_max + 1):
-            num, den, shared = _lowest_terms(scale - below, d, scale)
+        decimal_partial = sum(islice(decimal_terms, skip), Decimal(0))
+        for k in thresholds:
+            num, den, shared = _lowest_terms(partial if upper else scale - partial, d, scale)
             if den == 1:   # the row is 0 or 1
                 text = str(num)
             else:
@@ -424,8 +436,9 @@ def tail_table(params: BinomialParams, k_min: int, k_max: int) -> TailTable:
                     g = prod(Decimal(b) ** e for b, e in shared)
                     denominators[shared] = g, str(decimal_scale // g)
                 g, den_text = denominators[shared]
-                text = f"{(decimal_scale - decimal_below) // g}/{den_text}"
+                decimal_tail = decimal_partial if upper else decimal_scale - decimal_partial
+                text = f"{decimal_tail // g}/{den_text}"
             rows.append(TailRow(k, num, den, text))
-            below += next(terms, 0)
-            decimal_below += next(decimal_terms, 0)
-    return TailTable(tuple(rows), scale)
+            partial += next(terms, 0)
+            decimal_partial += next(decimal_terms, 0)
+    return TailTable(tuple(rows[::-1] if upper else rows), scale)

@@ -19,20 +19,28 @@ Two null models are simulated:
   every spec with m above ``URN_ITEMS``.
 
 Reproducibility protocol: trials are processed in fixed blocks of
-``BLOCK_TRIALS``; block ``i`` draws from its own SFC64 stream, seeded by
-``SeedSequence(seed, spawn_key=(i,))``. The seed fills the sequence's
-128-bit pool before the block index is appended, so no two (seed, block)
-pairs share a stream. Results are therefore identical across runs and
-independent of how blocks are distributed over workers: merging is integer
-summation. In the heterogeneous model each nurse has their own rate (at most
-one incident per shift); the estimate reads the suspect's count alone, which
-is independent of the others, so it checks every nurse's rate and shift
-count and then runs ``simulate_tail`` on the suspect's binomial spec. A spec
+``BLOCK_TRIALS``, and each block of n trials is drawn as two lanes: lane 0
+draws ceil(n/2) trials and lane 1 floor(n/2), lane l of block b from its own
+SFC64 stream, seeded by ``SeedSequence(seed, spawn_key=(b, l))``. The seed
+fills the sequence's 128-bit pool before the key is appended, so no two
+(seed, block, lane) keys share a stream. The lanes run on as many workers as
+there are lanes, up to the CPUs the process may run on (its affinity mask
+where the platform has one): the calling thread and short-lived threads
+started for the call take lanes one at a time, and numpy's samplers release
+the interpreter lock while they draw. Merging is integer summation, so a
+result depends on the spec and the threshold alone: identical across runs
+and whatever the worker count. A call shares no state with another, so
+concurrent calls are safe.
+
+In the heterogeneous model each nurse has their own rate (at most one
+incident per shift); the estimate reads the suspect's count alone, which is
+independent of the others, so it checks every nurse's rate and shift count
+and then runs ``simulate_tail`` on the suspect's binomial spec. A spec
 accepts exactly what the exact kernels accept, plus the limits of its own:
 trials at least 1, a seed in [0, 2**64), draws below 2**63 for numpy's
 binomial sampler, and numpy's 10**9 limit on each hypergeometric class,
 which also keeps the population below 2**31, so the urn's int32 counts and
-bounds cannot overflow. numpy is imported where a generator is built, so
+bounds cannot overflow. numpy is imported only when a simulation runs, so
 the exact paths never load it.
 """
 
@@ -40,6 +48,8 @@ from __future__ import annotations
 
 import csv
 import math
+import os
+import threading
 from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
@@ -53,11 +63,72 @@ BLOCK_TRIALS = 1 << 16
 URN_ITEMS = 16
 
 
-def _block_generator(seed: int, block: int):
-    """The numpy ``Generator`` of one block: SFC64 seeded by
-    ``SeedSequence(seed, spawn_key=(block,))``."""
+def _lane_generator(seed: int, block: int, lane: int):
+    """The numpy ``Generator`` of one lane of a block: SFC64 seeded by
+    ``SeedSequence(seed, spawn_key=(block, lane))``."""
     import numpy as np
-    return np.random.Generator(np.random.SFC64(np.random.SeedSequence(seed, spawn_key=(block,))))
+    return np.random.Generator(np.random.SFC64(
+        np.random.SeedSequence(seed, spawn_key=(block, lane))))
+
+
+def _lanes(trials: int):
+    """``(block, lane, size)`` of every lane that draws a trial, in order."""
+    for block, done in enumerate(range(0, trials, BLOCK_TRIALS)):
+        n = min(BLOCK_TRIALS, trials - done)
+        yield block, 0, n - n // 2
+        if n > 1:
+            yield block, 1, n // 2
+
+
+def _cpus() -> int:
+    """The CPUs this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _sum_lanes(count, lanes, workers: int) -> int:
+    """The sum of ``count(lane)`` over the ``lanes`` iterator, taken one lane
+    at a time by the calling thread and ``workers - 1`` threads started here.
+
+    An exception raised in any worker, ``KeyboardInterrupt`` included, is
+    raised in the caller once every worker has stopped; the others stop after
+    the lane they are drawing.
+    """
+    lock = threading.Lock()
+    sums, errors = [], []
+
+    def work():
+        total = 0
+        while not errors:
+            with lock:
+                lane = next(lanes, None)
+            if lane is None:
+                break
+            total += count(lane)
+        sums.append(total)
+
+    def thread_work():
+        try:
+            work()
+        except BaseException as exc:   # raised again in the calling thread
+            errors.append(exc)
+
+    threads = [threading.Thread(target=thread_work) for _ in range(workers - 1)]
+    for thread in threads:
+        thread.start()
+    try:
+        work()
+        for thread in threads:
+            thread.join()
+    except BaseException as exc:       # stop the threads before raising
+        errors.append(exc)
+        for thread in threads:
+            thread.join()
+        raise
+    if errors:
+        raise errors[0]
+    return sum(sums)
 
 
 #: The parameters each model reads besides trials, seed and draws. A spec
@@ -132,10 +203,11 @@ class SimulationResult:
 
 def simulate_tail(spec: SimulationSpec, k: int) -> SimulationResult:
     """Estimate P(X >= k) under the spec's null model: count the trials with
-    ``X >= k``, one SFC64 stream per (seed, block)."""
+    ``X >= k``, one SFC64 stream per (seed, block, lane)."""
     k = _as_int(k, "threshold")
     if k < 0:
         raise ValueError(f"threshold {k} is negative")
+    import numpy as np
     if spec.model == "binomial":
         def draw(rng, size):
             return rng.binomial(spec.draws, float(spec.rate), size=size)
@@ -146,10 +218,14 @@ def simulate_tail(spec: SimulationSpec, k: int) -> SimulationResult:
         def draw(rng, size):
             return rng.hypergeometric(spec.successes, spec.population - spec.successes,
                                       spec.draws, size=size)
-    hits = 0
-    for block, done in enumerate(range(0, spec.trials, BLOCK_TRIALS)):
-        counts = draw(_block_generator(spec.seed, block), min(BLOCK_TRIALS, spec.trials - done))
-        hits += int((counts >= k).sum())
+
+    def count(unit):
+        block, lane, size = unit
+        return int(np.count_nonzero(draw(_lane_generator(spec.seed, block, lane), size) >= k))
+
+    # two lanes per whole block, and one or two in a last, partial block
+    n_lanes = 2 * (spec.trials // BLOCK_TRIALS) + min(spec.trials % BLOCK_TRIALS, 2)
+    hits = _sum_lanes(count, _lanes(spec.trials), min(n_lanes, _cpus()))
     estimate = hits / spec.trials
     stderr = math.sqrt(estimate * (1 - estimate) / spec.trials)
     interval = (max(0.0, estimate - 3 * stderr), min(1.0, estimate + 3 * stderr))

@@ -748,9 +748,9 @@ GOLDEN = {
     "svg-shops-text": (0, "821825ba4ec459dab7e1f49b4c81be44240c86ec41b99efb0725c1adb0c3745b"),
     "svg-shops-json": (0, "74d23ad0f3959f5cfca9b6ac6c0c3e9be973defbd519faae602f26d7cfff9929"),
     "svg-shops-csv": (0, "ecc98237aa8c9c62cac50ea3058403d8ff2c724e45ac52705048ad1cd30576cc"),
-    "simulate-shops-text": (0, "9ef1613460b3911b96c4bf7ce5895d2b8c0db1d44670c65a04ba0a08b8ede6f2"),
-    "simulate-shops-json": (0, "0cc913c5c163afa9acf421fe86b043b1b056d1dd04ea89287f77f6a03ad52bae"),
-    "simulate-shops-csv": (0, "41d7a59be19944d492c2b5338b3a691598707b29b2eefa657286d0cd6b25f7ec"),
+    "simulate-shops-text": (0, "ebb69ace92b9e6caf869651982b4d97371f315fd607b11cb4cf0a208f1403377"),
+    "simulate-shops-json": (0, "6e2f2b5c90c5aae55e4427ca30f62f6e5725e10a21118f4032dc76e3a505faed"),
+    "simulate-shops-csv": (0, "ff4b801fecf38fdd26d3451a1b7afc3d2b80a4031a27d8147149568c110d7903"),
     "replicate-text": (0, "b5b33636ea850ce88d9702291910c98666470faa96250f8c6e7b959e0edee278"),
     "replicate-json": (0, "a958bc8bc1bed45fdf53ac7ff8170669692f8c6f381e9c903fc9606fbab177b2"),
     "replicate-csv": (0, "038fc19a5336cf2aad5a0b70d6025d3db7ba4c1fee35fa82afa89049c71b31c3"),
@@ -769,9 +769,9 @@ GOLDEN = {
     "binomial-stratum-text": (0, "5e6ef857c3febab39be2ba86fa488ec8467315b3d6e5d8086f7985a3cabbfdc6"),
     "binomial-stratum-json": (0, "aad7eeb9e4843b0431bc29d392a455768de502e3812402a2fdfcedc42b75c853"),
     "binomial-stratum-csv": (0, "fd22bddffcf01c82b5b36e7b1051f79ee1c243979da74f93b7ff45114d19fc66"),
-    "simulate-hypergeometric-text": (0, "54e79648976fac54e7a9c51def77c29fdb0703b813964dac742877d16b71dcfb"),
-    "simulate-hypergeometric-json": (0, "c987b3a7e5c7d89ac96a22fcc6f2ceb4531c4af5f620f63d027c1fbf6473dafb"),
-    "simulate-hypergeometric-csv": (0, "1cf0b146e08b5d293978844ae8889c0374f97b18221a5cba8e3dee7090b526e2"),
+    "simulate-hypergeometric-text": (0, "910d848e962b9b2306f61b298fc7e1af06ec56a51df8a34bf5354c240c016d09"),
+    "simulate-hypergeometric-json": (0, "568dcdba8e47fb91f90120bce851f085dab8802e3372492f92dd0f67908b03bf"),
+    "simulate-hypergeometric-csv": (0, "3c08b78ea479683690a314c604e87a049611e7cb2304f2cc431f90cf2082525d"),
     "svg-stratum-text": (0, "f5bab992f7ef76edd48ecd5f6851a2cfba6bbf1ed9110c59384786d77cbc0176"),
     "svg-stratum-json": (0, "fd67f923ba1012b7d787ed54e4007b059dd5a52c9acef30d3c28e8ed1b853f3b"),
     "svg-stratum-csv": (0, "0b1b6354414f1c0bce3778cc9b417d16b88aa4921511f9b889ef3d72b2b67223"),

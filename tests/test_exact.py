@@ -568,6 +568,20 @@ class TestTailRowsOverOneScale:
                     else f"{row.numerator}/{row.denominator}")
             assert row.text == want
 
+    @pytest.mark.parametrize("n, rate", [
+        *((n, rate) for n in (0, 1, 2, 9, 60) for rate in SMALL_PRIME_RATES),
+        (2000, Fraction(13, 1533)),
+    ])
+    def test_high_ranges_are_rows_of_the_full_table(self, n, rate):
+        # a range starting past the middle sums down from x = n, the full table
+        # up from x = 0: numerator, denominator and text agree row by row
+        full = tail_table(BinomialParams(n, rate), 0, n + 1).rows
+        starts = range((n + 1) // 2 + 1, n + 2) if n <= 60 else (1001, 1900, 2000, 2001)
+        for k_min in starts:
+            for k_max in {k_min, n + 1}:
+                rows = tail_table(BinomialParams(n, rate), k_min, k_max).rows
+                assert rows == full[k_min:k_max + 1], (k_min, k_max)
+
     def test_exact_is_built_once(self):
         row = tail_table(BinomialParams(40, Fraction(7, 72)), 5, 5).rows[0]
         assert row.exact is row.exact
