@@ -115,16 +115,17 @@ def _sum_lanes(count, lanes, workers: int) -> int:
             errors.append(exc)
 
     threads = [threading.Thread(target=thread_work) for _ in range(workers - 1)]
-    for thread in threads:
-        thread.start()
     try:
+        for thread in threads:
+            thread.start()
         work()
         for thread in threads:
             thread.join()
-    except BaseException as exc:       # stop the threads before raising
+    except BaseException as exc:       # stop the started threads before raising
         errors.append(exc)
         for thread in threads:
-            thread.join()
+            if thread.is_alive():
+                thread.join()
         raise
     if errors:
         raise errors[0]

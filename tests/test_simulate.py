@@ -217,6 +217,22 @@ class TestWorkers:
         assert info.value is error
         assert threading.active_count() == before
 
+    def test_a_thread_that_cannot_start_stops_the_started_one(self, monkeypatch):
+        # the second of two threads fails to start: the first is stopped and joined
+        start, started = threading.Thread.start, []
+
+        def failing_start(thread):
+            if started:
+                raise RuntimeError("can't start new thread")
+            started.append(thread)
+            start(thread)
+
+        monkeypatch.setattr(simulate, "_cpus", lambda: 3)
+        monkeypatch.setattr(threading.Thread, "start", failing_start)
+        with pytest.raises(RuntimeError, match="can't start new thread"):
+            simulate_tail(MULTI_BLOCK_SPECS[0], 5)
+        assert len(started) == 1 and not started[0].is_alive()
+
 
 class TestConvergence:
     def test_binomial_tracks_exact_tail(self):
