@@ -10,13 +10,18 @@ Two null models are simulated:
   with m the smaller and M the larger of them, a spec with m at most
   ``URN_ITEMS`` is drawn as an urn: the m items are placed one at a time,
   and step i hits one of the M marked places still free with probability
-  exactly free / (population - i), one bounded int32 draw compared with the
-  free count. That costs about 5-8 ns per item per trial, against 120-270 ns
-  per trial for numpy's ratio-of-uniforms sampler (HRUA) whatever m is: on
-  65 536-trial blocks at populations 339, 1029 and 10 000 (numpy 2.4.6, a
-  2-core Xeon VM) the urn was the faster at every m up to 16, the two were
-  close at 20 and numpy's was the faster at 27, so numpy's sampler draws
-  every spec with m above ``URN_ITEMS``.
+  exactly free / (population - i), one bounded integer draw compared with
+  the free count. The urn steps in int16 up to ``URN_INT16_PLACES`` places
+  and in int32 above, chosen from the spec alone: numpy's bounded 16-bit
+  sampler (Lemire's multiply-and-reject) takes 4.3-5.2 ns per item per
+  trial against 6.0-6.4 ns for int32 at populations up to 4 096, but
+  rejects more often as the range grows, and at 10 000 places and m = 16 it
+  took 133 ns per trial against 103 ns for int32 (one 32 768-trial lane,
+  best of 30). numpy's ratio-of-uniforms sampler (HRUA) costs 120-270 ns
+  per trial whatever m is: on 65 536-trial blocks at populations 339, 1029
+  and 10 000 (numpy 2.4.6, a 2-core Xeon VM) the urn was the faster at
+  every m up to 16, the two were close at 20 and numpy's was the faster at
+  27, so numpy's sampler draws every spec with m above ``URN_ITEMS``.
 
 Reproducibility protocol: trials are processed in fixed blocks of
 ``BLOCK_TRIALS``, and each block of n trials is drawn as two lanes: lane 0
@@ -25,12 +30,16 @@ SFC64 stream, seeded by ``SeedSequence(seed, spawn_key=(b, l))``. The seed
 fills the sequence's 128-bit pool before the key is appended, so no two
 (seed, block, lane) keys share a stream. The lanes run on as many workers as
 there are lanes, up to the CPUs the process may run on (its affinity mask
-where the platform has one): the calling thread and short-lived threads
-started for the call take lanes one at a time, and numpy's samplers release
-the interpreter lock while they draw. Merging is integer summation, so a
-result depends on the spec and the threshold alone: identical across runs
-and whatever the worker count. A call shares no state with another, so
-concurrent calls are safe.
+where the platform has one): the calling thread and helper threads take
+lanes one at a time, and numpy's samplers release the interpreter lock while
+they draw. The helpers are daemon threads that live for the whole process,
+each blocked on its own job queue; one is started the first time a call
+needs it, so the pool holds one fewer than the most workers any call has
+used, and after that a call starts no thread. A forked child forgets the
+parent's helpers, which do not exist in it, and starts its own. Merging is
+integer summation, so a result depends on the spec and the threshold alone:
+identical across runs and whatever the worker count. Concurrent calls share
+only the helpers, which take the calls' jobs in turn, so they are safe.
 
 In the heterogeneous model each nurse has their own rate (at most one
 incident per shift); the estimate reads the suspect's count alone, which is
@@ -40,8 +49,8 @@ accepts exactly what the exact kernels accept, plus the limits of its own:
 trials at least 1, a seed in [0, 2**64), draws below 2**63 for numpy's
 binomial sampler, and numpy's 10**9 limit on each hypergeometric class,
 which also keeps the population below 2**31, so the urn's int32 counts and
-bounds cannot overflow. numpy is imported only when a simulation runs, so
-the exact paths never load it.
+bounds cannot overflow (its int16 ones stay within 2**13). numpy is imported
+only when a simulation runs, so the exact paths never load it.
 """
 
 from __future__ import annotations
@@ -61,6 +70,9 @@ BLOCK_TRIALS = 1 << 16
 #: The most items (the smaller hypergeometric margin) drawn as an urn; numpy's
 #: hypergeometric sampler draws larger ones, where it is the faster.
 URN_ITEMS = 16
+#: The most places an urn draws in int16; larger populations step in int32,
+#: where numpy's bounded 16-bit sampler is the slower.
+URN_INT16_PLACES = 1 << 13
 
 
 def _lane_generator(seed: int, block: int, lane: int):
@@ -87,14 +99,52 @@ def _cpus() -> int:
     return os.cpu_count() or 1
 
 
+#: The job queue of each helper thread, in start order. Helpers live for the
+#: whole process; a call with w workers hands jobs to the first w - 1.
+_helpers: list = []
+_helpers_lock = threading.Lock()
+
+
+def _forget_helpers() -> None:
+    """In a forked child: the parent's helpers do not exist there, and the
+    lock may have been held by a thread that does not exist either."""
+    global _helpers, _helpers_lock
+    _helpers, _helpers_lock = [], threading.Lock()
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_forget_helpers)
+
+
+def _serve(jobs) -> None:
+    """A helper's loop: run each job put on its queue. A job catches its own
+    errors, and holds no reference once it has run."""
+    while True:
+        jobs.get()()
+
+
+def _helper_queues(n: int) -> list:
+    """The job queues of the first ``n`` helpers, starting those not yet
+    running. A helper that cannot start is not kept, and its error is raised."""
+    with _helpers_lock:
+        while len(_helpers) < n:
+            import queue
+            jobs = queue.SimpleQueue()
+            threading.Thread(target=_serve, args=(jobs,), daemon=True,
+                             name=f"tabaudit-lanes-{len(_helpers)}").start()
+            _helpers.append(jobs)
+        return _helpers[:n]
+
+
 def _sum_lanes(count, lanes, workers: int) -> int:
     """The sum of ``count(lane)`` over the ``lanes`` iterator, taken one lane
-    at a time by the calling thread and ``workers - 1`` threads started here.
+    at a time by the calling thread and ``workers - 1`` helper threads.
 
     An exception raised in any worker, ``KeyboardInterrupt`` included, is
-    raised in the caller once every worker has stopped; the others stop after
-    the lane they are drawing.
+    raised in the caller once every helper has finished its share of the call;
+    the others stop after the lane they are drawing. The helpers stay alive.
     """
+    helpers = _helper_queues(workers - 1)
     lock = threading.Lock()
     sums, errors = [], []
 
@@ -108,24 +158,26 @@ def _sum_lanes(count, lanes, workers: int) -> int:
             total += count(lane)
         sums.append(total)
 
-    def thread_work():
+    def helper_work(finished):
         try:
             work()
         except BaseException as exc:   # raised again in the calling thread
             errors.append(exc)
+        finally:
+            finished.set()
 
-    threads = [threading.Thread(target=thread_work) for _ in range(workers - 1)]
+    # waiting on an event can be repeated, so an interrupted wait loses no job
+    events = [threading.Event() for _ in helpers]
+    for jobs, finished in zip(helpers, events):
+        jobs.put(lambda finished=finished: helper_work(finished))
     try:
-        for thread in threads:
-            thread.start()
         work()
-        for thread in threads:
-            thread.join()
-    except BaseException as exc:       # stop the started threads before raising
+        for finished in events:
+            finished.wait()
+    except BaseException as exc:       # let the helpers finish before raising
         errors.append(exc)
-        for thread in threads:
-            if thread.is_alive():
-                thread.join()
+        for finished in events:
+            finished.wait()
         raise
     if errors:
         raise errors[0]
@@ -237,9 +289,10 @@ def _urn(rng, population: int, items: int, marked: int, size: int):
     """How many of ``items`` placed one at a time among ``population`` places,
     without replacement, land on the ``marked`` ones, for ``size`` trials."""
     import numpy as np
-    free = np.full(size, marked, dtype=np.int32)
+    dtype = np.int16 if population <= URN_INT16_PLACES else np.int32
+    free = np.full(size, marked, dtype=dtype)
     for i in range(items):
-        free -= rng.integers(0, population - i, size, dtype=np.int32) < free
+        free -= rng.integers(0, population - i, size, dtype=dtype) < free
     return marked - free
 
 

@@ -769,9 +769,9 @@ GOLDEN = {
     "binomial-stratum-text": (0, "5e6ef857c3febab39be2ba86fa488ec8467315b3d6e5d8086f7985a3cabbfdc6"),
     "binomial-stratum-json": (0, "aad7eeb9e4843b0431bc29d392a455768de502e3812402a2fdfcedc42b75c853"),
     "binomial-stratum-csv": (0, "fd22bddffcf01c82b5b36e7b1051f79ee1c243979da74f93b7ff45114d19fc66"),
-    "simulate-hypergeometric-text": (0, "910d848e962b9b2306f61b298fc7e1af06ec56a51df8a34bf5354c240c016d09"),
-    "simulate-hypergeometric-json": (0, "568dcdba8e47fb91f90120bce851f085dab8802e3372492f92dd0f67908b03bf"),
-    "simulate-hypergeometric-csv": (0, "3c08b78ea479683690a314c604e87a049611e7cb2304f2cc431f90cf2082525d"),
+    "simulate-hypergeometric-text": (0, "36f283577e4c384b7e4955667f31a8f53a4a9dc64b7d9363a1285691c8b037ae"),
+    "simulate-hypergeometric-json": (0, "3efc861a78395919021f94dbdf5670e9ac6faf822e6f4c00f9b36c1935737614"),
+    "simulate-hypergeometric-csv": (0, "f8787713a1aeff498b94e0cc4d1cba30210cddf90188d26459f4a1baf4db0113"),
     "svg-stratum-text": (0, "f5bab992f7ef76edd48ecd5f6851a2cfba6bbf1ed9110c59384786d77cbc0176"),
     "svg-stratum-json": (0, "fd67f923ba1012b7d787ed54e4007b059dd5a52c9acef30d3c28e8ed1b853f3b"),
     "svg-stratum-csv": (0, "0b1b6354414f1c0bce3778cc9b417d16b88aa4921511f9b889ef3d72b2b67223"),

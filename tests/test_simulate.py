@@ -4,8 +4,12 @@ from __future__ import annotations
 
 import json
 import math
+import os
+import select
+import signal
 import sys
 import threading
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -19,6 +23,7 @@ from tabaudit.exact import BinomialParams, binomial_upper_tail, hypergeom_upper_
 from tabaudit.simulate import (
     BLOCK_TRIALS,
     LOG_HEADER,
+    URN_INT16_PLACES,
     URN_ITEMS,
     SimulationSpec,
     _lane_generator,
@@ -91,7 +96,7 @@ class TestDeterminism:
     def test_blocks_merge_by_summation(self, spec):
         # lane l of block b draws half the block from its own (seed, b, l) stream,
         # and the hits add up; up to URN_ITEMS incident shifts (fewer than the 58
-        # drawn) are placed as an urn
+        # drawn) are placed as an urn, in int16 at 339 places
         by_hand = 0
         for block in (0, 1):
             for lane in (0, 1):
@@ -99,9 +104,10 @@ class TestDeterminism:
                 if spec.model == "binomial":
                     counts = rng.binomial(spec.draws, float(spec.rate), size=size)
                 elif spec.successes <= URN_ITEMS:
-                    free = np.full(size, spec.draws, dtype=np.int32)
+                    width = np.int16 if spec.population <= URN_INT16_PLACES else np.int32
+                    free = np.full(size, spec.draws, dtype=width)
                     for i in range(spec.successes):
-                        free -= rng.integers(0, spec.population - i, size, dtype=np.int32) < free
+                        free -= rng.integers(0, spec.population - i, size, dtype=width) < free
                     counts = spec.draws - free
                 else:
                     counts = rng.hypergeometric(spec.successes, spec.population - spec.successes,
@@ -149,7 +155,7 @@ class TestWorkers:
         assert results[0] == results[1] == results[2]
 
     def test_concurrent_calls_equal_serial_calls(self):
-        # more calling threads than cores, each call starting its own workers
+        # more calling threads than cores, all handing lanes to the same helpers
         specs = [*MULTI_BLOCK_SPECS, binomial_spec(trials=5000, seed=2)] * 2
         serial = [simulate_tail(spec, 5) for spec in specs]
         results = [None] * len(specs)
@@ -170,11 +176,28 @@ class TestWorkers:
         assert not any(thread.is_alive() for thread in threads)
         assert results == serial
 
+    @staticmethod
+    def serial_result(spec, monkeypatch):
+        with monkeypatch.context() as patch:
+            patch.setattr(simulate, "_cpus", lambda: 1)
+            return simulate_tail(spec, 5)
+
+    @staticmethod
+    def assert_helpers_serve_again(spec, serial, monkeypatch):
+        # with the lanes drawing again, a call returns the serial result, and
+        # 20 more calls leave the same thread count as that one: none starts a thread
+        monkeypatch.setattr(simulate, "_lane_generator", _lane_generator)
+        assert simulate_tail(spec, 5) == serial
+        threads = threading.active_count()
+        for _ in range(20):
+            assert simulate_tail(spec, 5) == serial
+        assert threading.active_count() == threads
+
     @pytest.mark.parametrize("error", [ValueError("lane failed"), KeyboardInterrupt()],
                              ids=["ValueError", "KeyboardInterrupt"])
     def test_error_in_a_worker_thread_reaches_the_caller(self, error, monkeypatch):
-        # the started thread's lane raises once the calling thread has taken a
-        # lane; the caller stops after that lane and raises the error
+        # the helper's lane raises once the calling thread has taken a lane; the
+        # caller stops after that lane and raises the error
         drawing, raised, caller_lanes = threading.Event(), threading.Event(), []
 
         def lane_generator(seed, block, lane):
@@ -187,38 +210,61 @@ class TestWorkers:
             raised.set()
             raise error
 
+        spec = MULTI_BLOCK_SPECS[0]
+        serial = self.serial_result(spec, monkeypatch)
         monkeypatch.setattr(simulate, "_cpus", lambda: 2)
         monkeypatch.setattr(simulate, "_lane_generator", lane_generator)
-        before = threading.active_count()
         with pytest.raises(type(error)) as info:
-            simulate_tail(MULTI_BLOCK_SPECS[0], 5)
+            simulate_tail(spec, 5)
         assert info.value is error
         assert len(caller_lanes) == 1
-        assert threading.active_count() == before
+        self.assert_helpers_serve_again(spec, serial, monkeypatch)
 
     @pytest.mark.parametrize("error", [ValueError("lane failed"), KeyboardInterrupt()],
                              ids=["ValueError", "KeyboardInterrupt"])
     def test_error_in_the_calling_thread_stops_the_workers(self, error, monkeypatch):
-        # the started threads' lanes wait until the calling thread's has raised
-        raised = threading.Event()
+        # the calling thread's lane raises once both helpers have taken a lane,
+        # theirs wait until it has raised, and every lane a helper took has
+        # been drawn when the error reaches the caller
+        both_taken, raised, taken, drawn = threading.Event(), threading.Event(), [], []
+
+        class HelperGenerator:
+            def __init__(self, rng):
+                self.rng = rng
+
+            def binomial(self, *args, **kwargs):
+                counts = self.rng.binomial(*args, **kwargs)
+                drawn.append(counts)
+                return counts
 
         def lane_generator(seed, block, lane):
             if threading.current_thread() is threading.main_thread():
+                assert both_taken.wait(timeout=60)
                 raised.set()
                 raise error
+            taken.append((block, lane))
+            if len(taken) == 2:
+                both_taken.set()
             assert raised.wait(timeout=60)
-            return _lane_generator(seed, block, lane)
+            return HelperGenerator(_lane_generator(seed, block, lane))
 
+        spec = MULTI_BLOCK_SPECS[0]
+        serial = self.serial_result(spec, monkeypatch)
         monkeypatch.setattr(simulate, "_cpus", lambda: 3)
         monkeypatch.setattr(simulate, "_lane_generator", lane_generator)
-        before = threading.active_count()
         with pytest.raises(type(error)) as info:
-            simulate_tail(MULTI_BLOCK_SPECS[0], 5)
+            simulate_tail(spec, 5)
         assert info.value is error
-        assert threading.active_count() == before
+        assert len(taken) >= 2 and len(drawn) == len(taken)
+        self.assert_helpers_serve_again(spec, serial, monkeypatch)
 
-    def test_a_thread_that_cannot_start_stops_the_started_one(self, monkeypatch):
-        # the second of two threads fails to start: the first is stopped and joined
+    def test_a_helper_that_cannot_start_raises_in_the_caller(self, monkeypatch):
+        # a call needs two helpers more than the pool holds, and the second
+        # fails to start: the start error reaches the caller, the first stays in
+        # the pool, and the next call starts the second and returns the serial hits
+        workers = len(simulate._helpers) + 3
+        spec = binomial_spec(trials=workers * BLOCK_TRIALS, seed=6)   # two lanes per block
+        serial = self.serial_result(spec, monkeypatch)
         start, started = threading.Thread.start, []
 
         def failing_start(thread):
@@ -227,11 +273,48 @@ class TestWorkers:
             started.append(thread)
             start(thread)
 
-        monkeypatch.setattr(simulate, "_cpus", lambda: 3)
+        monkeypatch.setattr(simulate, "_cpus", lambda: workers)
         monkeypatch.setattr(threading.Thread, "start", failing_start)
         with pytest.raises(RuntimeError, match="can't start new thread"):
-            simulate_tail(MULTI_BLOCK_SPECS[0], 5)
-        assert len(started) == 1 and not started[0].is_alive()
+            simulate_tail(spec, 5)
+        assert len(simulate._helpers) == workers - 2 and started[0].is_alive()
+        monkeypatch.setattr(threading.Thread, "start", start)
+        assert simulate_tail(spec, 5) == serial
+        assert len(simulate._helpers) == workers - 1
+
+    @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork (POSIX)")
+    def test_a_forked_child_draws_on_helpers_of_its_own(self, monkeypatch):
+        # the parent's helpers do not exist in a child forked after a
+        # multi-lane call: the child starts its own and draws the same hits
+        spec = MULTI_BLOCK_SPECS[0]
+        monkeypatch.setattr(simulate, "_cpus", lambda: 2)
+        hits = simulate_tail(spec, 5).hits
+        read, write = os.pipe()
+        with warnings.catch_warnings():
+            # Python 3.12+ warns that forking a multi-threaded process may deadlock
+            warnings.filterwarnings("ignore", r"This process .* is multi-threaded",
+                                    DeprecationWarning)
+            pid = os.fork()
+        if pid == 0:
+            status = 1
+            try:
+                os.close(read)
+                os.write(write, str(simulate_tail(spec, 5).hits).encode())
+                status = 0
+            finally:
+                os._exit(status)
+        os.close(write)
+        ready = []
+        try:
+            ready = select.select([read], [], [], 60)[0]
+            child = os.read(read, 64).decode() if ready else "no answer within 60 s"
+        finally:
+            os.close(read)
+            if not ready:
+                os.kill(pid, signal.SIGKILL)
+            _, status = os.waitpid(pid, 0)
+        assert child == str(hits)
+        assert os.WIFEXITED(status) and os.WEXITSTATUS(status) == 0
 
 
 class TestConvergence:
@@ -275,6 +358,8 @@ class TestUrn:
     @pytest.mark.parametrize("population, draws, successes", [
         (339, 58, 1),                           # one item
         (1029, 142, URN_ITEMS),                 # the most the urn draws
+        (URN_INT16_PLACES, 142, URN_ITEMS),     # the most places drawn in int16
+        (URN_INT16_PLACES + 1, 142, URN_ITEMS), # the fewest drawn in int32
         (339, 5, 58),                           # the suspect's shifts are the items
         (40, 40, 7),                            # every shift the suspect's
         (30, 5, 30),                            # every shift an incident
@@ -282,16 +367,29 @@ class TestUrn:
         (2 * (10**9 - 1), 10**9 - 1, 8),        # the largest population a spec takes
     ])
     def test_counts_follow_the_exact_pmf(self, population, draws, successes):
-        # each outcome's count within 5 sigma of trials * P(X = v), none outside the support
+        # each outcome's count within 5 sigma of trials * P(X = v), none outside
+        # the support; the urn steps in int16 up to URN_INT16_PLACES places
         trials = 1 << 18
         items, marked = sorted((successes, draws))
         rng = _lane_generator(0, 0, 0)
-        counts = np.bincount(_urn(rng, population, items, marked, trials), minlength=items + 1)
+        hits = _urn(rng, population, items, marked, trials)
+        assert hits.dtype == (np.int16 if population <= URN_INT16_PLACES else np.int32)
+        counts = np.bincount(hits, minlength=items + 1)
         assert len(counts) == items + 1
         tails = [hypergeom_upper_tail(population, draws, successes, v) for v in range(items + 2)]
         for v in range(items + 1):
             p = float(tails[v] - tails[v + 1])
             assert abs(counts[v] - trials * p) <= 5 * math.sqrt(trials * p * (1 - p)), v
+
+    def test_thresholds_past_int16_count_no_hits(self):
+        # every trial places all 16 items on the suspect's shifts, in int16
+        # steps; a threshold past the int16 range compares as the integer it is
+        spec = SimulationSpec(model="hypergeometric", trials=1000, seed=0,
+                              draws=URN_INT16_PLACES, population=URN_INT16_PLACES,
+                              successes=URN_ITEMS)
+        assert simulate_tail(spec, URN_ITEMS).hits == 1000
+        for k in (URN_ITEMS + 1, (1 << 15) - 1, 1 << 15, 40000, 1 << 64):
+            assert simulate_tail(spec, k).hits == 0, k
 
 
 class TestEdgeExactness:
