@@ -2,9 +2,10 @@
 
 Subcommands: analyze, fisher, binomial, simpson, replicate, simulate, svg,
 diff. Every subcommand supports ``--format text|json|csv``; output is
-byte-identical for identical invocations (the simulator is seeded). Exit
-codes: 0 success, 2 input error, 3 analysis/validation error, 4 replication
-mismatch. The argument parser is built once per process and shared by every
+byte-identical for identical invocations (the simulator is seeded); files
+are read and ``--out`` written as UTF-8. Exit codes: 0 success, 2 input or
+output error, 3 analysis/validation error, 4 replication mismatch. The
+argument parser is built once per process and shared by every
 ``main`` call.
 
 ``main`` is the one path from input to output. It loads the dataset and, for
@@ -89,9 +90,13 @@ def _emit(args, text: Callable[[], str], doc: dict) -> None:
         if not payload.endswith("\n"):
             payload += "\n"
     if args.out:
-        Path(args.out).write_text(payload)
-    else:
+        Path(args.out).write_text(payload, encoding="utf-8")
+        return
+    try:
         sys.stdout.write(payload)
+    except UnicodeEncodeError as exc:
+        raise OSError(f"stdout's encoding, {exc.encoding}, cannot write "
+                      f"{exc.object[exc.start:exc.end]!r}; --out writes UTF-8") from None
 
 
 # ---------------------------------------------------------------------------

@@ -30,16 +30,18 @@ SFC64 stream, seeded by ``SeedSequence(seed, spawn_key=(b, l))``. The seed
 fills the sequence's 128-bit pool before the key is appended, so no two
 (seed, block, lane) keys share a stream. The lanes run on as many workers as
 there are lanes, up to the CPUs the process may run on (its affinity mask
-where the platform has one): the calling thread and helper threads take
-lanes one at a time, and numpy's samplers release the interpreter lock while
-they draw. The helpers are daemon threads that live for the whole process,
-each blocked on its own job queue; one is started the first time a call
-needs it, so the pool holds one fewer than the most workers any call has
-used, and after that a call starts no thread. A forked child forgets the
-parent's helpers, which do not exist in it, and starts its own. Merging is
-integer summation, so a result depends on the spec and the threshold alone:
-identical across runs and whatever the worker count. Concurrent calls share
-only the helpers, which take the calls' jobs in turn, so they are safe.
+where the platform has one): the calling thread and the threads of one
+process-wide ``concurrent.futures.ThreadPoolExecutor`` take lanes one at a
+time, and numpy's samplers release the interpreter lock while they draw. The
+executor keeps its threads between calls and starts one only for a job that
+finds none idle, up to its default min(32, CPUs + 4) threads: once it is
+warm a call starts no thread, and below that many helper lanes at once no
+call waits on another's. A forked child builds an executor of its own.
+Merging is integer summation, so a result depends on the spec and the
+threshold alone: identical across runs and whatever the worker count. The
+executor refuses new work once interpreter shutdown has begun, so with two
+or more workers a call made from an ``atexit`` handler raises
+``RuntimeError``.
 
 In the heterogeneous model each nurse has their own rate (at most one
 incident per shift); the estimate reads the suspect's count alone, which is
@@ -56,6 +58,7 @@ only when a simulation runs, so the exact paths never load it.
 from __future__ import annotations
 
 import csv
+import functools
 import math
 import os
 import threading
@@ -99,89 +102,55 @@ def _cpus() -> int:
     return os.cpu_count() or 1
 
 
-#: The job queue of each helper thread, in start order. Helpers live for the
-#: whole process; a call with w workers hands jobs to the first w - 1.
-_helpers: list = []
-_helpers_lock = threading.Lock()
+@functools.cache
+def _executor():
+    """The process-wide executor whose threads draw the lanes of every call.
+    Its default size, min(32, CPUs + 4), runs the ``workers - 1`` jobs of a
+    call at once on up to 33 CPUs; past that, the rest wait for a thread."""
+    from concurrent.futures import ThreadPoolExecutor
+    return ThreadPoolExecutor(thread_name_prefix="tabaudit-lanes")
 
 
-def _forget_helpers() -> None:
-    """In a forked child: the parent's helpers do not exist there, and the
-    lock may have been held by a thread that does not exist either."""
-    global _helpers, _helpers_lock
-    _helpers, _helpers_lock = [], threading.Lock()
-
-
-if hasattr(os, "register_at_fork"):
-    os.register_at_fork(after_in_child=_forget_helpers)
-
-
-def _serve(jobs) -> None:
-    """A helper's loop: run each job put on its queue. A job catches its own
-    errors, and holds no reference once it has run."""
-    while True:
-        jobs.get()()
-
-
-def _helper_queues(n: int) -> list:
-    """The job queues of the first ``n`` helpers, starting those not yet
-    running. A helper that cannot start is not kept, and its error is raised."""
-    with _helpers_lock:
-        while len(_helpers) < n:
-            import queue
-            jobs = queue.SimpleQueue()
-            threading.Thread(target=_serve, args=(jobs,), daemon=True,
-                             name=f"tabaudit-lanes-{len(_helpers)}").start()
-            _helpers.append(jobs)
-        return _helpers[:n]
+if hasattr(os, "register_at_fork"):   # the parent's threads do not exist in a child
+    os.register_at_fork(after_in_child=_executor.cache_clear)
 
 
 def _sum_lanes(count, lanes, workers: int) -> int:
     """The sum of ``count(lane)`` over the ``lanes`` iterator, taken one lane
-    at a time by the calling thread and ``workers - 1`` helper threads.
+    at a time by the calling thread and ``workers - 1`` executor threads.
 
     An exception raised in any worker, ``KeyboardInterrupt`` included, is
-    raised in the caller once every helper has finished its share of the call;
-    the others stop after the lane they are drawing. The helpers stay alive.
+    raised in the caller once every executor thread has finished its share of
+    the call; the others stop after the lane they are drawing.
     """
-    helpers = _helper_queues(workers - 1)
     lock = threading.Lock()
-    sums, errors = [], []
+    stop, futures = [], []
 
     def work():
         total = 0
-        while not errors:
-            with lock:
-                lane = next(lanes, None)
-            if lane is None:
-                break
-            total += count(lane)
-        sums.append(total)
-
-    def helper_work(finished):
         try:
-            work()
-        except BaseException as exc:   # raised again in the calling thread
-            errors.append(exc)
-        finally:
-            finished.set()
+            while not stop:
+                with lock:
+                    lane = next(lanes, None)
+                if lane is None:
+                    break
+                total += count(lane)
+        except BaseException:
+            stop.append(True)
+            raise
+        return total
 
-    # waiting on an event can be repeated, so an interrupted wait loses no job
-    events = [threading.Event() for _ in helpers]
-    for jobs, finished in zip(helpers, events):
-        jobs.put(lambda finished=finished: helper_work(finished))
     try:
-        work()
-        for finished in events:
-            finished.wait()
-    except BaseException as exc:       # let the helpers finish before raising
-        errors.append(exc)
-        for finished in events:
-            finished.wait()
-        raise
-    if errors:
-        raise errors[0]
-    return sum(sums)
+        for _ in range(workers - 1):
+            futures.append(_executor().submit(work))
+        total = work()
+    finally:
+        # every lane is taken unless a worker failed or the caller was
+        # interrupted; either way the helpers stop after the lane they draw
+        stop.append(True)
+        for future in futures:         # waits, and raises nothing of its own
+            future.exception()
+    return total + sum(future.result() for future in futures)
 
 
 #: The parameters each model reads besides trials, seed and draws. A spec

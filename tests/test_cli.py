@@ -7,6 +7,7 @@ import contextlib
 import hashlib
 import io
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -502,14 +503,32 @@ class TestEntryPoint:
         assert proc.returncode == 0
         assert "paradox: true" in proc.stdout
 
+    @pytest.mark.parametrize("to_file", [True, False], ids=["out", "stdout"])
+    def test_output_under_an_ascii_locale(self, tmp_path, to_file):
+        # --out is UTF-8 whatever the locale; a stdout that cannot encode the
+        # output is an output error, named with its encoding
+        source, out = tmp_path / "zu.csv", tmp_path / "f.csv"
+        source.write_text("W\u00e4rd,8,134,0,887\n", encoding="utf-8")
+        argv = ["analyze", "--input", str(source), "--format", "csv"]
+        env = {**os.environ, "LC_ALL": "C", "PYTHONCOERCECLOCALE": "0", "PYTHONUTF8": "0"}
+        proc = subprocess.run([sys.executable, "-m", "tabaudit", *argv,
+                               *(["--out", str(out)] if to_file else [])],
+                              capture_output=True, env=env)
+        if to_file:
+            assert (proc.returncode, proc.stderr) == (0, b"")
+            assert "correlations.strata[0].stratum,W\u00e4rd\n" in out.read_text(encoding="utf-8")
+        else:
+            assert (proc.returncode, proc.stdout) == (2, b"")
+            assert proc.stderr.startswith(b"error: stdout's encoding, ascii, cannot write")
+
     def test_exact_paths_do_not_import_numpy(self):
         code = ("import contextlib, io, sys, tabaudit\n"
                 "from tabaudit import cli\n"
                 "with contextlib.redirect_stdout(io.StringIO()):\n"
                 "    assert cli.main(['replicate', '--format', 'json']) == 0\n"
-                "print('numpy' in sys.modules)")
+                "print([m for m in ('numpy', 'concurrent.futures') if m in sys.modules])")
         proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
-        assert (proc.returncode, proc.stdout) == (0, "False\n")
+        assert (proc.returncode, proc.stdout) == (0, "[]\n")
 
     def test_cli_import_loads_no_network_or_mail_modules(self):
         # xml.sax.saxutils, once used for SVG escaping, pulls in all four

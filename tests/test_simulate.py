@@ -185,13 +185,25 @@ class TestWorkers:
     @staticmethod
     def assert_helpers_serve_again(spec, serial, monkeypatch):
         # with the lanes drawing again, a call returns the serial result, and
-        # 20 more calls leave the same thread count as that one: none starts a thread
+        # 20 more calls start no thread
         monkeypatch.setattr(simulate, "_lane_generator", _lane_generator)
         assert simulate_tail(spec, 5) == serial
-        threads = threading.active_count()
+        start, started = threading.Thread.start, []
+
+        def counted_start(thread):
+            started.append(thread)
+            start(thread)
+
+        monkeypatch.setattr(threading.Thread, "start", counted_start)
         for _ in range(20):
             assert simulate_tail(spec, 5) == serial
-        assert threading.active_count() == threads
+        assert started == []
+
+    @staticmethod
+    def fresh_pool():
+        # the old pool's threads have exited before a call builds the next one
+        simulate._executor().shutdown()
+        simulate._executor.cache_clear()
 
     @pytest.mark.parametrize("error", [ValueError("lane failed"), KeyboardInterrupt()],
                              ids=["ValueError", "KeyboardInterrupt"])
@@ -259,28 +271,77 @@ class TestWorkers:
         self.assert_helpers_serve_again(spec, serial, monkeypatch)
 
     def test_a_helper_that_cannot_start_raises_in_the_caller(self, monkeypatch):
-        # a call needs two helpers more than the pool holds, and the second
-        # fails to start: the start error reaches the caller, the first stays in
-        # the pool, and the next call starts the second and returns the serial hits
-        workers = len(simulate._helpers) + 3
-        spec = binomial_spec(trials=workers * BLOCK_TRIALS, seed=6)   # two lanes per block
+        # a fresh pool needs two threads for a three-worker call, and the
+        # second fails to start: the start error reaches the caller, and once
+        # threads start again the next call returns the serial hits
+        spec = binomial_spec(trials=3 * BLOCK_TRIALS, seed=6)   # six lanes
         serial = self.serial_result(spec, monkeypatch)
-        start, started = threading.Thread.start, []
+        start, started, refused = threading.Thread.start, [], threading.Event()
 
         def failing_start(thread):
             if started:
+                refused.set()
                 raise RuntimeError("can't start new thread")
             started.append(thread)
             start(thread)
 
-        monkeypatch.setattr(simulate, "_cpus", lambda: workers)
+        def lane_generator(seed, block, lane):
+            # the first thread stays busy, not idle, until the second is refused
+            if threading.current_thread() is not threading.main_thread():
+                assert refused.wait(timeout=60)
+            return _lane_generator(seed, block, lane)
+
+        self.fresh_pool()
+        monkeypatch.setattr(simulate, "_cpus", lambda: 3)
+        monkeypatch.setattr(simulate, "_lane_generator", lane_generator)
         monkeypatch.setattr(threading.Thread, "start", failing_start)
-        with pytest.raises(RuntimeError, match="can't start new thread"):
-            simulate_tail(spec, 5)
-        assert len(simulate._helpers) == workers - 2 and started[0].is_alive()
-        monkeypatch.setattr(threading.Thread, "start", start)
-        assert simulate_tail(spec, 5) == serial
-        assert len(simulate._helpers) == workers - 1
+        try:
+            with pytest.raises(RuntimeError, match="can't start new thread"):
+                simulate_tail(spec, 5)
+            assert len(started) == 1
+            monkeypatch.setattr(threading.Thread, "start", start)
+            self.assert_helpers_serve_again(spec, serial, monkeypatch)
+        finally:
+            # the job whose thread did not start stays queued and is counted
+            # idle once run, so later tests start from a fresh pool
+            self.fresh_pool()
+
+    def test_a_call_does_not_wait_on_another_calls_lanes(self, monkeypatch):
+        # call A's helper holds its lane until released; call B, made while it
+        # is held, draws its own lanes and returns the serial hits
+        spec_a, spec_b = binomial_spec(trials=5000, seed=1), binomial_spec(trials=5000, seed=2)
+        serial_a = self.serial_result(spec_a, monkeypatch)
+        serial_b = self.serial_result(spec_b, monkeypatch)
+        helper_holds, release, results = threading.Event(), threading.Event(), {}
+
+        def lane_generator(seed, block, lane):
+            if seed == spec_a.seed:
+                if threading.current_thread() is call_a:
+                    assert helper_holds.wait(timeout=60)
+                else:
+                    helper_holds.set()
+                    assert release.wait(timeout=60)
+            return _lane_generator(seed, block, lane)
+
+        def call(name, spec):
+            results[name] = simulate_tail(spec, 5)
+
+        monkeypatch.setattr(simulate, "_cpus", lambda: 2)
+        monkeypatch.setattr(simulate, "_lane_generator", lane_generator)
+        call_a = threading.Thread(target=call, args=("a", spec_a))
+        call_b = threading.Thread(target=call, args=("b", spec_b))
+        try:
+            call_a.start()
+            assert helper_holds.wait(timeout=60)
+            call_b.start()
+            call_b.join(timeout=10)
+            assert not call_b.is_alive() and results["b"] == serial_b
+            assert call_a.is_alive()
+        finally:
+            release.set()
+            call_a.join(timeout=60)
+            call_b.join(timeout=60)
+        assert not call_a.is_alive() and results["a"] == serial_a
 
     @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork (POSIX)")
     def test_a_forked_child_draws_on_helpers_of_its_own(self, monkeypatch):
