@@ -38,10 +38,7 @@ finds none idle, up to its default min(32, CPUs + 4) threads: once it is
 warm a call starts no thread, and below that many helper lanes at once no
 call waits on another's. A forked child builds an executor of its own.
 Merging is integer summation, so a result depends on the spec and the
-threshold alone: identical across runs and whatever the worker count. The
-executor refuses new work once interpreter shutdown has begun, so with two
-or more workers a call made from an ``atexit`` handler raises
-``RuntimeError``.
+threshold alone: identical across runs and whatever the worker count.
 
 In the heterogeneous model each nurse has their own rate (at most one
 incident per shift); the estimate reads the suspect's count alone, which is
@@ -121,17 +118,22 @@ def _sum_lanes(count, lanes, workers: int) -> int:
 
     An exception raised in any worker, ``KeyboardInterrupt`` included, is
     raised in the caller once every executor thread has finished its share of
-    the call; the others stop after the lane they are drawing.
+    the call; the others stop after the lane they are drawing. An executor
+    that refuses a job (it is shutting down, or a thread did not start) is
+    shut down and dropped, and the caller draws the lanes that job would
+    have: the sum does not depend on the worker count. A job takes lanes only
+    once the caller has recorded its ``submit`` as accepted, so a refused job
+    left on the queue draws none.
     """
     lock = threading.Lock()
     stop, futures = [], []
 
-    def work():
+    def work(job):
         total = 0
         try:
             while not stop:
                 with lock:
-                    lane = next(lanes, None)
+                    lane = next(lanes, None) if job < len(futures) else None
                 if lane is None:
                     break
                 total += count(lane)
@@ -141,9 +143,18 @@ def _sum_lanes(count, lanes, workers: int) -> int:
         return total
 
     try:
-        for _ in range(workers - 1):
-            futures.append(_executor().submit(work))
-        total = work()
+        with lock:   # no job takes a lane before its submit is recorded here
+            for job in range(workers - 1):
+                executor = None
+                try:
+                    executor = _executor()
+                    futures.append(executor.submit(work, job))
+                except RuntimeError:   # shutting down, or a thread did not start
+                    if executor is not None:
+                        executor.shutdown(wait=False)
+                    _executor.cache_clear()
+                    break
+        total = work(-1)
     finally:
         # every lane is taken unless a worker failed or the caller was
         # interrupted; either way the helpers stop after the lane they draw

@@ -23,7 +23,6 @@ from tabaudit.exact import (
     SupportError,
     TailRow,
     TailTable,
-    binomial_pmf,
     binomial_upper_tail,
     fisher_upper_tail,
     hypergeom_pmf,
@@ -33,6 +32,12 @@ from tabaudit.exact import (
 from tabaudit.pipeline import binomial_analysis, binomial_json
 from tabaudit.render import exact_json, render
 from tabaudit.tables import Table2x2
+
+
+def row_pmf(params, x):
+    """P(X = x) as the difference of the tail-table rows at x and x + 1."""
+    at, past = tail_table(params, x, x + 1).rows
+    return at.exact - past.exact
 
 
 def enumerated_pmf(population, draws, successes, x):
@@ -188,16 +193,16 @@ class TestBinomial:
             assert rows[k]["value"] == float(r.tails.at(k))
 
     def test_symmetric_coin(self):
-        assert binomial_pmf(BinomialParams(2, Fraction(1, 2)), 1) == Fraction(1, 2)
+        assert row_pmf(BinomialParams(2, Fraction(1, 2)), 1) == Fraction(1, 2)
 
     def test_zero_successes_direct_power(self):
         params = BinomialParams(201, Fraction(13, 1533))
-        value = binomial_pmf(params, 0)
+        value = row_pmf(params, 0)
         assert value == Fraction(1520, 1533) ** 201
         assert rel_close(value, 0.1805460748728054, tol=1e-12)
 
     def test_empty_draw(self):
-        assert binomial_pmf(BinomialParams(0, Fraction(3, 7)), 0) == 1
+        assert row_pmf(BinomialParams(0, Fraction(3, 7)), 0) == 1
 
     def test_negative_draws(self):
         with pytest.raises(ValueError, match="^draws -1 is negative$"):
@@ -206,11 +211,11 @@ class TestBinomial:
     def test_pmf_normalizes_exactly(self):
         for n, p in [(0, Fraction(1, 3)), (7, Fraction(2, 5)), (30, Fraction(13, 1533))]:
             params = BinomialParams(n, p)
-            assert sum(binomial_pmf(params, x) for x in range(n + 1)) == 1
+            assert sum(row_pmf(params, x) for x in range(n + 1)) == 1
 
     def test_outside_support(self):
         with pytest.raises(SupportError):
-            binomial_pmf(BinomialParams(5, Fraction(1, 2)), 6)
+            row_pmf(BinomialParams(5, Fraction(1, 2)), 6)
         with pytest.raises(ValueError):
             BinomialParams(5, Fraction(3, 2))
 
@@ -453,7 +458,7 @@ class TestAgainstCombOracle:
         want = (oracle.binomial_upper_tail(n, rate, k) if side == "lower"
                 else sum(oracle.binomial_pmf(n, rate, x) for x in range(k, n + 1)))
         assert binomial_upper_tail(params, k) == want
-        assert binomial_pmf(params, k) == oracle.binomial_pmf(n, rate, k)
+        assert row_pmf(params, k) == oracle.binomial_pmf(n, rate, k)
 
     @settings(max_examples=30, deadline=None)
     @given(n=st.integers(min_value=0, max_value=120), rate=rates)
@@ -468,7 +473,7 @@ class TestAgainstCombOracle:
             assert entry == exact_json(row.exact)
             assert entry["value"] == float(row.exact)
         for x in range(n + 1):
-            assert binomial_pmf(params, x) == oracle.binomial_pmf(n, rate, x)
+            assert rows[x].exact - rows[x + 1].exact == oracle.binomial_pmf(n, rate, x)
 
     @settings(max_examples=25, deadline=None)
     @given(n=st.integers(min_value=0, max_value=150), rate=rates, data=st.data())
@@ -482,13 +487,14 @@ class TestAgainstCombOracle:
     @pytest.mark.parametrize("n", [0, 1, 7])
     def test_degenerate_rates_and_empty_draw(self, n, rate):
         params = BinomialParams(n, rate)
-        for x in range(n + 1):
-            assert binomial_pmf(params, x) == oracle.binomial_pmf(n, rate, x)
         for k in range(-2, n + 4):
             want = oracle.binomial_upper_tail(n, rate, min(max(k, 0), n + 1))
             assert binomial_upper_tail(params, k) == want
-        for row in tail_table(params, 0, n + 1).rows:
+        rows = tail_table(params, 0, n + 1).rows
+        for row in rows:
             assert row.exact == oracle.binomial_upper_tail(n, rate, row.threshold)
+        for x in range(n + 1):
+            assert rows[x].exact - rows[x + 1].exact == oracle.binomial_pmf(n, rate, x)
 
 
 SMALL_PRIME_RATES = [Fraction(1, 2), Fraction(3, 8), Fraction(7, 72), Fraction(5, 243),
@@ -546,9 +552,61 @@ class TestTailRowsOverOneScale:
             return math.gcd(*args)
 
         monkeypatch.setattr(exact, "gcd", counting_gcd)
-        # the part divided out is 2**(n-1): one b = 2, with its exponent
-        assert exact._lowest_terms(2 ** (n - 1), 2, 2**n) == (1, 2, ((2, n - 1),))
+        # the part divided out is 2**(n-1), found from the largest power of 2
+        # that fits one int digit, squared until a residue falls short of it
+        m = 2 ** min(sys.int_info.bits_per_digit - 1, n)
+        assert exact._lowest_terms(2 ** (n - 1), 2, 2**n, m) == 2 ** (n - 1)
         assert passes <= math.log2(n) + 3
+
+    @staticmethod
+    def reduced_rows(n, rate, k_min, k_max):
+        """(numerator, denominator, text) of Fraction(scale - below, scale) for
+        each threshold from ``k_min`` to ``k_max``."""
+        u, d = rate.numerator, rate.denominator
+        rows, below = [], 0
+        for k in range(k_max + 1):
+            want = Fraction(d**n - below, d**n)
+            text = str(want.numerator) if want.denominator == 1 else str(want)
+            rows.append((want.numerator, want.denominator, text))
+            if k <= n:
+                below += comb(n, k) * u**k * (d - u) ** (n - k)
+        return rows[k_min:]
+
+    @pytest.mark.parametrize("rate", [Fraction(0), Fraction(1)])
+    @pytest.mark.parametrize("n", [0, 1, 7, 300])
+    def test_every_row_at_d_1(self, n, rate):
+        # scale 1 and every row 0 or 1, summed up or down, with no modulus to find
+        want = [(1, 1, "1")] * (n + 1 if rate else 1) + [(0, 1, "0")] * (1 if rate else n + 1)
+        for k_min in range(n + 2):
+            rows = tail_table(BinomialParams(n, rate), k_min, n + 1).rows
+            assert [(r.numerator, r.denominator, r.text) for r in rows] == want[k_min:]
+
+    @pytest.mark.parametrize("n, rate, k, shared", [
+        (2001, Fraction(1, 2), 1001, 2**2000),      # 2**2000 / 2**2001, past 2**29, 2**58, ...
+        (65, Fraction(7, 2**6 * 3**6), 2, 2**11),   # 2**11 divides the row, d itself 2**6
+        (3, Fraction(1, 6), 2, 2**3),               # 16 / 216: the modulus stops at the scale
+    ], ids=["half", "6**6", "cap"])
+    def test_shared_part_past_the_first_modulus(self, n, rate, k, shared):
+        # the first modulus is the largest power of d in one int digit, at most
+        # the scale: row k holds a prime of d at least as often as that power,
+        # so its residue is taken again modulo the square, or (cap) more often
+        # than the scale, which is then the modulus
+        rows = tail_table(BinomialParams(n, rate), 0, n + 1).rows
+        assert [(r.numerator, r.denominator, r.text) for r in rows] == self.reduced_rows(
+            n, rate, 0, n + 1)
+        assert rows[k].denominator * shared == rate.denominator**n
+
+    @pytest.mark.parametrize("n, rate", [(65, Fraction(7, 2**6 * 3**6)), (60, Fraction(7, 72)),
+                                         (101, Fraction(1, 2))])
+    def test_shared_rows_on_both_summing_directions(self, n, rate):
+        # the full table sums up from x = 0 and the top rows down from x = n;
+        # each has rows with G > 1, and every row is the reduced fraction
+        scale = rate.denominator**n
+        for k_min in (0, n - 5):
+            rows = tail_table(BinomialParams(n, rate), k_min, n + 1).rows
+            assert [(r.numerator, r.denominator, r.text) for r in rows] == self.reduced_rows(
+                n, rate, k_min, n + 1)
+            assert any(1 < r.denominator < scale for r in rows)
 
     @settings(max_examples=60, deadline=None)
     @example(n=3, rate=Fraction(1, 6), data=None)

@@ -7,6 +7,7 @@ import math
 import os
 import select
 import signal
+import subprocess
 import sys
 import threading
 import warnings
@@ -270,41 +271,53 @@ class TestWorkers:
         assert len(taken) >= 2 and len(drawn) == len(taken)
         self.assert_helpers_serve_again(spec, serial, monkeypatch)
 
-    def test_a_helper_that_cannot_start_raises_in_the_caller(self, monkeypatch):
-        # a fresh pool needs two threads for a three-worker call, and the
-        # second fails to start: the start error reaches the caller, and once
-        # threads start again the next call returns the serial hits
+    def test_a_helper_that_cannot_start_leaves_its_lanes_to_the_caller(self, monkeypatch):
+        # every pool's second thread fails to start while its first waits for
+        # its submit to be recorded: the caller draws the lanes left and drops
+        # the pool, so 21 calls in a row return the serial hits, and once
+        # threads start again the helpers serve as before
         spec = binomial_spec(trials=3 * BLOCK_TRIALS, seed=6)   # six lanes
         serial = self.serial_result(spec, monkeypatch)
-        start, started, refused = threading.Thread.start, [], threading.Event()
+        start, started, refused = threading.Thread.start, [], []
 
         def failing_start(thread):
-            if started:
-                refused.set()
+            if thread.name.endswith("_1"):
+                refused.append(thread)
                 raise RuntimeError("can't start new thread")
             started.append(thread)
             start(thread)
 
-        def lane_generator(seed, block, lane):
-            # the first thread stays busy, not idle, until the second is refused
-            if threading.current_thread() is not threading.main_thread():
-                assert refused.wait(timeout=60)
-            return _lane_generator(seed, block, lane)
-
         self.fresh_pool()
         monkeypatch.setattr(simulate, "_cpus", lambda: 3)
-        monkeypatch.setattr(simulate, "_lane_generator", lane_generator)
         monkeypatch.setattr(threading.Thread, "start", failing_start)
         try:
-            with pytest.raises(RuntimeError, match="can't start new thread"):
-                simulate_tail(spec, 5)
-            assert len(started) == 1
+            for _ in range(21):
+                assert simulate_tail(spec, 5) == serial
+            assert len(started) == len(refused) == 21
             monkeypatch.setattr(threading.Thread, "start", start)
             self.assert_helpers_serve_again(spec, serial, monkeypatch)
         finally:
-            # the job whose thread did not start stays queued and is counted
-            # idle once run, so later tests start from a fresh pool
             self.fresh_pool()
+
+    def test_a_call_from_an_atexit_handler_returns_the_serial_hits(self, monkeypatch):
+        # the executor refuses new work once interpreter shutdown has begun,
+        # whether or not a call before it started the pool
+        spec = binomial_spec(trials=3 * BLOCK_TRIALS, seed=6)
+        serial = self.serial_result(spec, monkeypatch)
+        code = ("import atexit, sys\n"
+                "from fractions import Fraction\n"
+                "from tabaudit import simulate\n"
+                "spec = simulate.SimulationSpec(model='binomial', trials=3 * 65536, seed=6,\n"
+                "                               draws=203, rate=Fraction(14, 1531))\n"
+                "simulate._cpus = lambda: 2\n"
+                "if sys.argv[1] == 'warm':\n"
+                "    print(simulate.simulate_tail(spec, 5).hits)\n"
+                "atexit.register(lambda: print(simulate.simulate_tail(spec, 5).hits))\n")
+        for pool in ("warm", "cold"):
+            proc = subprocess.run([sys.executable, "-c", code, pool],
+                                  capture_output=True, text=True, timeout=120)
+            assert (proc.returncode, proc.stderr) == (0, ""), pool
+            assert proc.stdout.split() == [str(serial.hits)] * (2 if pool == "warm" else 1)
 
     def test_a_call_does_not_wait_on_another_calls_lanes(self, monkeypatch):
         # call A's helper holds its lane until released; call B, made while it
