@@ -27,6 +27,7 @@ from __future__ import annotations
 import csv
 import io
 import json
+import sys
 from pathlib import Path
 from typing import Mapping
 
@@ -156,14 +157,23 @@ def _read_text(path: Path) -> str:
         raise DatasetFormatError(f"{path}: not UTF-8 at byte {exc.start} ({exc.reason})") from None
 
 
+def _too_many_digits(where: str) -> DatasetFormatError:
+    """The error for an integer past the interpreter's limit on reading one from text."""
+    return DatasetFormatError(f"{where}: an integer has more than {sys.get_int_max_str_digits()} "
+                              "digits, the limit of sys.get_int_max_str_digits()")
+
+
 def load_json(path: str | Path) -> StratifiedTable:
     path = Path(path)
+    text = _read_text(path)
     try:
-        doc = json.loads(_read_text(path))
+        doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise DatasetFormatError(f"{path}:{exc.lineno}: invalid JSON: {exc.msg}") from None
     except RecursionError:   # the decoder recurses once per nested array or object
         raise DatasetFormatError(f"{path}: invalid JSON: nested too deeply") from None
+    except ValueError:   # the one other failure: int() refusing a number's digits
+        raise _too_many_digits(str(path)) from None
     return from_json_dict(doc, source=str(path))
 
 
@@ -190,6 +200,9 @@ def from_csv_text(text: str, name: str = "", source: str = "<csv>") -> Stratifie
         try:
             a, b, c, d = (int(cell) for cell in row[1:])
         except ValueError:
+            limit = sys.get_int_max_str_digits()
+            if limit and any(sum(map(str.isdigit, cell)) > limit for cell in row[1:]):
+                raise _too_many_digits(f"{source}:{lineno}") from None
             raise DatasetFormatError(
                 f"{source}:{lineno}: counts must be integers, got {row[1:]}") from None
         strata.append((label, Table2x2(a, b, c, d)))

@@ -33,22 +33,28 @@ per term. Consecutive hypergeometric terms have the ratio::
 
     t(x+1) / t(x) = (successes - x)(draws - x) / ((x + 1)(population - successes - draws + x + 1))
 
-so a backward Horner pass over the ratios gives the sum of t(x) / t(a) as
-one integer numerator/denominator pair, and the tail is pmf(a) times that
-pair, built as a single ``Fraction``. Binomial terms share the denominator
-d**n, where rate = u/d and v = d - u; their integer numerators
-T(x) = C(n, x) u**x v**(n-x) step by T(x+1) = T(x) (n - x) u // ((x + 1) v),
-which divides exactly. Every tail sums the shorter side of the support:
-when fewer terms lie below the threshold than at or above it, the tail is
-1 minus their sum. The result is the identical ``Fraction`` either way,
-because a ``Fraction`` is always kept in lowest terms.
+so a backward Horner pass over the ratios from the top of the support gives
+the sum of t(x) / t(k) for x >= k as one integer numerator/denominator pair,
+and the tail P(X >= k) is pmf(k) times that pair, built as a single
+``Fraction``. Binomial terms share the denominator d**n, where rate = u/d and
+v = d - u; their integer numerators T(x) = C(n, x) u**x v**(n-x) step up from
+T(0) = v**n by T(x+1) = T(x) (n - x) u // ((x + 1) v), which divides exactly.
+
+Each law has that one recurrence, and each tail sums one side of the
+support [lo, hi] and reads the other as a complement: the side below k when
+k - lo < hi - k, else the side at or above k. The hypergeometric tail below
+k is read as 1 - P(Y >= draws - k + 1), where Y = draws - X counts the draws
+among the population - successes other shifts, so the same upper pass sums
+it. The binomial terms at or above k, T(n), T(n-1), ..., T(k), are read as
+the first n + 1 - k terms at rate v/d, so the same upward steps sum them.
+The result is the identical ``Fraction`` either way, because a ``Fraction``
+is always kept in lowest terms.
 
 A binomial tail table keeps each row as integers over the table's shared
 ``scale = d**n``: the row for k is (scale - below) / scale, where ``below``
 sums T(x) for x < k. When fewer terms lie from the table's first threshold
 to n than below it, the row is instead ``above`` / scale, where ``above``
-sums T(x) for x >= k, and the terms step down from T(n) = u**n by
-T(x-1) = T(x) x v // ((n - x + 1) u): the terms at rate v/d stepped up.
+sums T(x) for x >= k, stepped up at rate v/d from T(n) = u**n.
 Range and monotonicity are checked by comparing those numerators. Every
 prime that a row's numerator shares with the scale divides d, so the shared
 part G = gcd(numerator, scale) is read off the numerator's residue modulo m,
@@ -58,9 +64,8 @@ as often as it divides m, and then m is squared (see :func:`_lowest_terms`).
 So a row costs one pass over its numerator with a one-digit divisor, plus
 one exact division by G when G > 1. At n = 975 and rate 13/1012, 496 of the
 501 rows from k = 0 share a factor with the 2 931-digit scale; each took
-6.4 us to reduce, against 24-26 us when powers of gcd(numerator, d) were
-divided out of numerator and scale one gcd or division at a time, and a row
-with G = 1 took 3.3 us either way (Python 3.11, 2-core Xeon VM, best of 20).
+6.4 us to reduce, and a row with G = 1 took 3.3 us (Python 3.11, 2-core Xeon
+VM, best of 20).
 A row carries its reduced numerator and denominator and its decimal text;
 its ``Fraction`` (the identical one) is built on its first read and kept.
 
@@ -68,8 +73,8 @@ its ``Fraction`` (the identical one) is built on its first read and kept.
 the row, from the same recurrence run in ``decimal.Decimal`` alongside the
 int one, under a context that cannot round: ``prec=MAX_PREC``,
 ``Emax=MAX_EMAX``, ``Emin=MIN_EMIN``, with ``Inexact`` and ``Rounded``
-trapped. It starts from ``Decimal(v) ** n`` (``Decimal(u) ** n`` when it
-steps down) and ``Decimal(d) ** n``, so no row is ever converted to
+trapped. It starts from ``Decimal(v) ** n`` (``Decimal(u) ** n`` at rate
+v/d) and ``Decimal(d) ** n``, so no row is ever converted to
 decimal, which takes quadratic time (``str(int)`` on CPython 3.11,
 ``Decimal(int)``). A row's text is its numerator over scale, divided by
 ``Decimal(G)``, over scale / G. Both divisions are exact, and G = 1 needs
@@ -216,18 +221,6 @@ def hypergeom_pmf(params: HypergeomParams) -> Fraction:
     return Fraction(_hyper_count(n, r, k, params.observed), comb(n, r))
 
 
-def _ratio_sum(ratios) -> tuple[int, int]:
-    """``(num, den)`` with num/den = 1 + r_m (1 + ... r_2 (1 + r_1)).
-
-    r_i = p_i / q_i is the i-th ``(p, q)`` pair that ``ratios`` yields, so the
-    innermost ratio comes first (a Horner pass, integers only).
-    """
-    num = den = 1
-    for p, q in ratios:
-        num, den = q * den + p * num, q * den
-    return num, den
-
-
 def hypergeom_upper_tail(population: int, draws: int, successes: int, k: int) -> Fraction:
     """P(X >= k) for the hypergeometric; 1 below the support, 0 above it."""
     population, draws, successes = _margins(population, draws, successes)
@@ -238,20 +231,19 @@ def hypergeom_upper_tail(population: int, draws: int, successes: int, k: int) ->
         return Fraction(1)
     if k > hi:
         return Fraction(0)
+    complement = k - lo < hi - k
+    if complement:   # X < k exactly when at least draws - k + 1 draws miss the incidents
+        successes, k = population - successes, draws - k + 1
+        hi = min(draws, successes)
+    # sum of t(x) / t(k) for x = k..hi, Horner over t(x+1)/t(x) from x = hi-1 down
     slack = population - successes - draws
-    total = comb(population, draws)
-    if k - lo < hi - k:
-        # 1 - sum of t(x) for x = lo..k-1, Horner over t(x-1)/t(x) from x = lo+1 up
-        num, den = _ratio_sum(
-            (x * (slack + x), (successes - x + 1) * (draws - x + 1)) for x in range(lo + 1, k)
-        )
-        scale = total * den
-        return Fraction(scale - _hyper_count(population, draws, successes, k - 1) * num, scale)
-    # sum of t(x) for x = k..hi, Horner over t(x+1)/t(x) from x = hi-1 down
-    num, den = _ratio_sum(
-        ((successes - x) * (draws - x), (x + 1) * (slack + x + 1)) for x in range(hi - 1, k - 1, -1)
-    )
-    return Fraction(_hyper_count(population, draws, successes, k) * num, total * den)
+    num = den = 1
+    for x in range(hi - 1, k - 1, -1):
+        q = (x + 1) * (slack + x + 1)
+        num, den = q * den + (successes - x) * (draws - x) * num, q * den
+    tail = Fraction(_hyper_count(population, draws, successes, k) * num,
+                    comb(population, draws) * den)
+    return 1 - tail if complement else tail
 
 
 def fisher_upper_tail(t: Table2x2) -> Fraction:
@@ -274,22 +266,22 @@ class BinomialParams:
         object.__setattr__(self, "rate", _as_rate(self.rate))
 
 
-def _numerators(n: int, rate: Fraction, x: int, kind=int):
-    """T(j) = C(n, j) u**j v**(n-j) for j = x..n, where rate = u/d and v = d - u.
+def _numerators(n: int, rate: Fraction, kind=int):
+    """T(x) = C(n, x) u**x v**(n-x) for x = 0..n, where rate = u/d and v = d - u.
 
-    T(j) / d**n is the binomial pmf at j. The terms are ``kind``: ``int``, or
-    ``Decimal`` under an exact context from x = 0, where the first term is
-    ``Decimal(v) ** n`` and no big integer is converted. At rate 1 they are ints.
+    T(x) / d**n is the binomial pmf at x. The terms are ``kind``: ``int``, or
+    ``Decimal`` under an exact context, where T(0) is ``Decimal(v) ** n`` and
+    no big integer is converted. At rate 1 they are ints.
     """
     u = rate.numerator
     v = rate.denominator - u
     if v == 0:  # rate 1: all mass at n
-        yield from (int(j == n) for j in range(x, n + 1))
+        yield from (int(x == n) for x in range(n + 1))
         return
-    t = comb(n, x) * u**x * kind(v) ** (n - x)
-    for j in range(x, n + 1):
+    t = kind(v) ** n
+    for x in range(n + 1):
         yield t
-        t = t * ((n - j) * u) // ((j + 1) * v)
+        t = t * ((n - x) * u) // ((x + 1) * v)
 
 
 def binomial_upper_tail(params: BinomialParams, k: int) -> Fraction:
@@ -302,8 +294,9 @@ def binomial_upper_tail(params: BinomialParams, k: int) -> Fraction:
         return Fraction(0)
     scale = params.rate.denominator**n
     if k < n - k:
-        return Fraction(scale - sum(islice(_numerators(n, params.rate, 0), k)), scale)
-    return Fraction(sum(_numerators(n, params.rate, k)), scale)
+        return Fraction(scale - sum(islice(_numerators(n, params.rate), k)), scale)
+    # T(n), T(n-1), ..., T(k): the first n + 1 - k terms at rate v/d
+    return Fraction(sum(islice(_numerators(n, 1 - params.rate), n + 1 - k)), scale)
 
 
 @dataclass(frozen=True)
@@ -413,8 +406,8 @@ def tail_table(params: BinomialParams, k_min: int, k_max: int) -> TailTable:
         thresholds, rate, skip = range(k_min, k_max + 1), params.rate, k_min
     rows, denominators = [], {}   # G -> (scale // G, Decimal(G), text of scale // G)
     with localcontext(_EXACT):
-        terms = _numerators(n, rate, 0)
-        decimal_terms = _numerators(n, rate, 0, Decimal)
+        terms = _numerators(n, rate)
+        decimal_terms = _numerators(n, rate, Decimal)
         partial = sum(islice(terms, skip))
         decimal_scale = Decimal(d) ** n
         decimal_partial = sum(islice(decimal_terms, skip), Decimal(0))

@@ -65,6 +65,7 @@ from pathlib import Path
 from typing import Sequence
 
 from .exact import BinomialParams, _as_int, _as_number, _as_rate, _margins
+from .render import fraction_text
 
 BLOCK_TRIALS = 1 << 16
 #: The most items (the smaller hypergeometric margin) drawn as an urn; numpy's
@@ -220,7 +221,7 @@ class SimulationSpec:
                "draws": self.draws}
         for field in MODEL_FIELDS[self.model]:
             value = getattr(self, field)
-            doc[field] = str(value) if field == "rate" else value
+            doc[field] = fraction_text(*value.as_integer_ratio()) if field == "rate" else value
         return doc
 
 

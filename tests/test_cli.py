@@ -22,6 +22,15 @@ from tabaudit.cli import PROG, build_parser, main
 from tabaudit.tables import StratifiedTable, Table2x2
 
 
+@pytest.fixture
+def digit_limit():
+    """CPython's default limit on the digits of an int read from or written as text."""
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)
+    yield 4300
+    sys.set_int_max_str_digits(limit)
+
+
 def run_cli(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
@@ -86,6 +95,24 @@ class TestAnalyze:
                                      "col_labels": ["c", "d"], "strata": []}))
         code, _, err = run_cli(capsys, "analyze", "--input", str(empty))
         assert code == 2
+
+    def test_json_count_past_the_digit_limit_is_exit_2(self, capsys, tmp_path, digit_limit):
+        path = tmp_path / "long.json"
+        path.write_text('{"row_labels": ["a", "b"], "col_labels": ["c", "d"], "strata": '
+                        f'[{{"label": "w", "counts": [[1, {"7" * 4400}], [3, 4]]}}]}}')
+        code, out, err = run_cli(capsys, "analyze", "--input", str(path))
+        assert (code, out) == (2, "")
+        assert err == (f"error: {path}: an integer has more than {digit_limit} digits, "
+                       "the limit of sys.get_int_max_str_digits()\n")
+
+    def test_csv_count_past_the_digit_limit_is_exit_2(self, capsys, tmp_path, digit_limit):
+        # the message names the line and the limit, not the 4 400-digit cell
+        path = tmp_path / "long.csv"
+        path.write_text(f"stratum,a,b,c,d\nw1,1,2,3,4\nw2,1,{'7' * 4400},3,4\n")
+        code, out, err = run_cli(capsys, "analyze", "--input", str(path))
+        assert (code, out) == (2, "")
+        assert err == (f"error: {path}:3: an integer has more than {digit_limit} digits, "
+                       "the limit of sys.get_int_max_str_digits()\n")
 
     def test_negative_count_is_exit_3(self, capsys, tmp_path):
         bad = tmp_path / "neg.csv"
@@ -403,6 +430,16 @@ class TestSimulate:
         code, out, err = run_cli(capsys, "simulate", "--input", str(path), "--trials", "10")
         assert (code, out) == (3, "")
         assert err == "error: comparison group has zero shifts; cannot form a null rate\n"
+
+    def test_rate_past_the_digit_limit(self, capsys, tmp_path, digit_limit):
+        # c = 10**4300 - 1 and d = c - 1: the null rate c / (c + d) is in lowest
+        # terms, and its denominator 2 * 10**4300 - 3 has 4 301 digits
+        path = tmp_path / "long.csv"
+        path.write_text(f"w,1,2,{'9' * 4300},{'9' * 4299}8\n")
+        code, out, err = run_cli(capsys, "simulate", "--input", str(path), "--trials", "10",
+                                 "--format", "json")
+        assert (code, err) == (0, "")
+        assert json.loads(out)["spec"]["rate"] == f"{'9' * 4300}/1{'9' * 4299}7"
 
     def test_deterministic(self, capsys):
         args = ("simulate", "--dataset", "shops", "--trials", "3000", "--seed", "9")
