@@ -29,16 +29,18 @@ over many shifts, this is the incident count: C(1734, 27) in place of
 C(1734, 201). The result is the identical ``Fraction``.
 
 Each tail is summed in integers and reduced to lowest terms once, not once
-per term. Consecutive hypergeometric terms have the ratio::
+per term. The hypergeometric terms t(x) = C(successes, x) C(population -
+successes, draws - x), the pmf numerators, step up by the ratio::
 
     t(x+1) / t(x) = (successes - x)(draws - x) / ((x + 1)(population - successes - draws + x + 1))
 
-so a backward Horner pass over the ratios from the top of the support gives
-the sum of t(x) / t(k) for x >= k as one integer numerator/denominator pair,
-and the tail P(X >= k) is pmf(k) times that pair, built as a single
-``Fraction``. Binomial terms share the denominator d**n, where rate = u/d and
-v = d - u; their integer numerators T(x) = C(n, x) u**x v**(n-x) step up from
-T(0) = v**n by T(x+1) = T(x) (n - x) u // ((x + 1) v), which divides exactly.
+as t(x+1) = t(x) (successes - x)(draws - x) // ((x + 1)(...)), which divides
+exactly, so the tail P(X >= k) is the ``Fraction`` of the sum of t(x) for
+x >= k over C(population, draws). No term is longer than that denominator,
+so the one gcd that reduces the sum runs on integers no longer than it.
+Binomial terms share the denominator d**n, where rate = u/d and v = d - u;
+their integer numerators T(x) = C(n, x) u**x v**(n-x) step up the same way
+from T(0) = v**n by T(x+1) = T(x) (n - x) u // ((x + 1) v).
 
 Each law has that one recurrence, and each tail sums one side of the
 support [lo, hi] and reads the other as a complement: the side below k when
@@ -54,18 +56,20 @@ A binomial tail table keeps each row as integers over the table's shared
 ``scale = d**n``: the row for k is (scale - below) / scale, where ``below``
 sums T(x) for x < k. When fewer terms lie from the table's first threshold
 to n than below it, the row is instead ``above`` / scale, where ``above``
-sums T(x) for x >= k, stepped up at rate v/d from T(n) = u**n.
-Range and monotonicity are checked by comparing those numerators. Every
-prime that a row's numerator shares with the scale divides d, so the shared
-part G = gcd(numerator, scale) is read off the numerator's residue modulo m,
-the largest power of d that fits one int digit, found once per table:
+sums T(x) for x >= k, stepped up at rate v/d from T(n) = u**n. Either way
+the row's numerator steps from the last row's by one subtraction or
+addition of a term, and :func:`tail_table` checks range and order on those
+numerators, one comparison per row. Every prime that a row's numerator
+shares with the scale divides d, so the shared part G = gcd(numerator,
+scale) is read off the numerator's residue modulo m, the largest power of d
+that fits one int digit, found once per table (see :func:`_reduced`):
 gcd(residue, m) is G unless some prime of d divides the numerator at least
-as often as it divides m, and then m is squared (see :func:`_lowest_terms`).
-So a row costs one pass over its numerator with a one-digit divisor, plus
-one exact division by G when G > 1. At n = 975 and rate 13/1012, 496 of the
-501 rows from k = 0 share a factor with the 2 931-digit scale; each took
-6.4 us to reduce, and a row with G = 1 took 3.3 us (Python 3.11, 2-core Xeon
-VM, best of 20).
+as often as it divides m. Then the numerator is divided by that gcd, a
+one-digit divisor, and the quotient's residue modulo m is taken again;
+a row whose prime saturates m once more, or where m * m passes the scale,
+falls back to squaring m (see :func:`_lowest_terms`). So most rows cost one
+pass over the numerator with a one-digit divisor, plus one exact division
+by G when G > 1, and that quotient is the reduced numerator.
 A row carries its reduced numerator and denominator and its decimal text;
 its ``Fraction`` (the identical one) is built on its first read and kept.
 
@@ -81,12 +85,12 @@ decimal, which takes quadratic time (``str(int)`` on CPython 3.11,
 none. The table builds scale / G, ``Decimal(G)`` and the denominator's text
 once for each distinct G. The steps, the divisions and ``str(Decimal)`` take
 time linear in the digits. ``Decimal(G)`` is quadratic in G's digits (40 ms
-at 30 000 digits on the same VM), but G exceeds m only where some prime of d
-divides a row as often as it divides m, as at the row 2**(n-1) / 2**n of
-rate 1/2, and summing the terms of a row that long costs more. Rows equal to
-0 or 1, every row at rate 0 or 1 among them, are written directly. Every
-output format serializes every table it builds, so the text is built with
-the row rather than on demand.
+at 30 000 digits, Python 3.11 on a 2-core Xeon VM), but G exceeds m only
+where some prime of d divides a row as often as it divides m, as at the row
+2**(n-1) / 2**n of rate 1/2, and summing the terms of a row that long costs
+more. Rows equal to 0 or 1, every row at rate 0 or 1 among them, are written
+directly. Every output format serializes every table it builds, so the text
+is built with the row rather than on demand.
 """
 
 from __future__ import annotations
@@ -235,14 +239,13 @@ def hypergeom_upper_tail(population: int, draws: int, successes: int, k: int) ->
     if complement:   # X < k exactly when at least draws - k + 1 draws miss the incidents
         successes, k = population - successes, draws - k + 1
         hi = min(draws, successes)
-    # sum of t(x) / t(k) for x = k..hi, Horner over t(x+1)/t(x) from x = hi-1 down
+    # the integer terms t(x) for x = k..hi, each stepped from the last by exact division
     slack = population - successes - draws
-    num = den = 1
-    for x in range(hi - 1, k - 1, -1):
-        q = (x + 1) * (slack + x + 1)
-        num, den = q * den + (successes - x) * (draws - x) * num, q * den
-    tail = Fraction(_hyper_count(population, draws, successes, k) * num,
-                    comb(population, draws) * den)
+    term = total = _hyper_count(population, draws, successes, k)
+    for x in range(k, hi):
+        term = term * ((successes - x) * (draws - x)) // ((x + 1) * (slack + x + 1))
+        total += term
+    tail = Fraction(total, comb(population, draws))
     return 1 - tail if complement else tail
 
 
@@ -323,8 +326,13 @@ class TailTable:
     """Upper-tail probabilities P(X >= k) for a consecutive range of thresholds.
 
     Every row's denominator divides ``scale``, so the rows are checked by
-    comparing integer numerators over that one shared denominator. Each row
-    of a table from :func:`tail_table` carries its decimal text.
+    comparing integer numerators over that one shared denominator: each row
+    lies in [0, 1] and no row exceeds the one before it. A table built by
+    hand is checked here, in ``__post_init__``, which divides ``scale`` by
+    each row's denominator. :func:`tail_table` checks its rows as it builds
+    them, on the numerators over ``scale`` that it already holds, and builds
+    its table without this pass. Each row of a table from :func:`tail_table`
+    carries its decimal text.
     """
 
     rows: tuple[TailRow, ...]
@@ -363,15 +371,47 @@ def _lowest_terms(num: int, d: int, scale: int, m: int) -> int:
     ``pow(m // g, d.bit_length(), d) == 0`` tests, since no prime divides
     ``d`` more than ``d.bit_length()`` times; g is G too when m is ``scale``.
     Otherwise m is squared, capped at ``scale``, and the residue taken again.
-    ``tail_table`` passes the largest power of ``d`` that fits one int digit,
-    so most rows take one pass over ``num`` with a one-digit divisor. A row
-    equal to 1/2 at rate 1/2 (numerator 2**(n-1)) takes about log2(n) passes.
+    This is the fallback of :func:`_reduced`, for the rows that it cannot
+    finish with two one-digit residues; a row equal to 1/2 at rate 1/2
+    (numerator 2**(n-1)) takes about log2(n) passes here.
     """
     while True:
         g = gcd(num % m, m)
         if m == scale or pow(m // g, d.bit_length(), d) == 0:
             return g
         m = min(m * m, scale)
+
+
+def _reduced(num: int, d: int, scale: int, m: int) -> tuple[int, int]:
+    """(num // G, G) for G = gcd(num, scale), with ``num``, ``d``, ``scale``
+    and ``m`` as for :func:`_lowest_terms`; ``tail_table`` passes the largest
+    power of ``d`` that fits one int digit as m.
+
+    g = gcd(num % m, m) is G unless some prime of ``d`` saturates m, dividing
+    ``num`` at least as often as m (see :func:`_lowest_terms`). Then ``num``
+    is divided by g, which holds every p of ``d`` as often as ``num`` does
+    except the saturating ones, which it holds as often as m does. The
+    quotient's residue h = gcd(num // g % m, m) finishes G = g h unless a
+    prime of ``d`` saturates m again. Since g h holds each prime of ``d`` at
+    most as often as m * m, that second residue is taken only when m * m
+    divides ``scale``; otherwise, or if a prime saturates again, G is found
+    by :func:`_lowest_terms` from ``num`` and m * m, capped at ``scale``. So
+    most rows take one pass over ``num`` with a one-digit divisor, a row
+    with a saturating prime one or two more, and the quotient by G is the
+    reduced numerator.
+    """
+    bits = d.bit_length()
+    g = gcd(num % m, m)
+    if m == scale or pow(m // g, bits, d) == 0:
+        return (num // g if g > 1 else num), g
+    if m * m <= scale:
+        rest = num // g
+        h = gcd(rest % m, m)
+        if pow(m // h, bits, d) == 0:
+            return (rest // h if h > 1 else rest), g * h
+        m *= m   # a prime of d saturates m * m too
+    g = _lowest_terms(num, d, scale, min(m * m, scale))
+    return num // g, g
 
 
 #: Decimal arithmetic that never rounds: every operation is exact or raises.
@@ -387,7 +427,9 @@ def tail_table(params: BinomialParams, k_min: int, k_max: int) -> TailTable:
     stepped with it, gives its text (see the module docstring). Both sum the
     shorter side: up from x = 0, or down from x = n when fewer terms lie
     from ``k_min`` to n than below it. Rows that share the same G share its
-    denominator and the denominator's text, built once per table.
+    denominator and the denominator's text, built once per table. A row
+    outside [0, 1] or above the row before it raises ``ValueError`` here,
+    where the rows are built (see :class:`TailTable`).
     """
     k_min, k_max = _as_int(k_min, "k_min"), _as_int(k_max, "k_max")
     n = params.draws
@@ -408,23 +450,36 @@ def tail_table(params: BinomialParams, k_min: int, k_max: int) -> TailTable:
     with localcontext(_EXACT):
         terms = _numerators(n, rate)
         decimal_terms = _numerators(n, rate, Decimal)
-        partial = sum(islice(terms, skip))
         decimal_scale = Decimal(d) ** n
-        decimal_partial = sum(islice(decimal_terms, skip), Decimal(0))
+        # the first row over scale: ``above`` when summing down, else scale - ``below``
+        num = sum(islice(terms, skip))
+        decimal_num = sum(islice(decimal_terms, skip), Decimal(0))
+        if not upper:
+            num, decimal_num = scale - num, decimal_scale - decimal_num
+        prev = 0 if upper else scale
         for k in thresholds:
-            num = partial if upper else scale - partial
+            # one comparison checks the row's range and its order against the last row
+            if not (prev <= num <= scale if upper else 0 <= num <= prev):
+                raise ValueError(f"tail at {k} outside [0, 1] or out of order")
+            prev = num
             if 0 < num < scale:
-                g = _lowest_terms(num, d, scale, m)
+                reduced, g = _reduced(num, d, scale, m)
                 if g not in denominators:
                     decimal_g = Decimal(g)
                     denominators[g] = scale // g, decimal_g, str(decimal_scale // decimal_g)
                 den, decimal_g, den_text = denominators[g]
-                decimal_tail = decimal_partial if upper else decimal_scale - decimal_partial
-                if g > 1:
-                    num, decimal_tail = num // g, decimal_tail // decimal_g
-                rows.append(TailRow(k, num, den, f"{decimal_tail}/{den_text}"))
+                text = decimal_num // decimal_g if g > 1 else decimal_num
+                rows.append(TailRow(k, reduced, den, f"{text}/{den_text}"))
             else:   # the row is 0 or 1
                 rows.append(TailRow(k, int(num > 0), 1, str(int(num > 0))))
-            partial += next(terms, 0)
-            decimal_partial += next(decimal_terms, 0)
-    return TailTable(tuple(rows[::-1] if upper else rows), scale)
+            if upper:
+                num += next(terms, 0)
+                decimal_num += next(decimal_terms, 0)
+            else:
+                num -= next(terms, 0)
+                decimal_num -= next(decimal_terms, 0)
+    # every row is checked above, so the table skips the check of ``TailTable.__post_init__``
+    table = object.__new__(TailTable)
+    object.__setattr__(table, "rows", tuple(rows[::-1] if upper else rows))
+    object.__setattr__(table, "scale", scale)
+    return table

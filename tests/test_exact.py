@@ -352,6 +352,25 @@ class TestTailTable:
             with pytest.raises(ValueError, match="denominator at 0 does not divide the scale"):
                 TailTable((TailRow(0, 1, denominator, f"1/{denominator}"),), scale=8)
 
+    def test_increasing_pair_over_one_denominator_rejected(self):
+        rows = (TailRow(0, 1, 4, "1/4"), TailRow(1, 3, 4, "3/4"))
+        with pytest.raises(ValueError, match="tail increases at threshold 1"):
+            TailTable(rows, scale=8)
+
+    @pytest.mark.parametrize("k_min", [0, 8])
+    def test_negative_term_refused_where_the_rows_are_built(self, k_min, monkeypatch):
+        # tail_table checks its own rows, up from x = 0 (k_min 0) or down from
+        # x = n (k_min 8), so a term that breaks the order raises, not a table
+        numerators = exact._numerators
+
+        def one_negative(*args):
+            for x, term in enumerate(numerators(*args)):
+                yield -term if x == 1 else term
+
+        monkeypatch.setattr(exact, "_numerators", one_negative)
+        with pytest.raises(ValueError, match="tail at .* outside \\[0, 1\\] or out of order"):
+            tail_table(BinomialParams(10, Fraction(1, 3)), k_min, 11)
+
 
 @st.composite
 def hypergeom_cases(draw, side):
@@ -597,6 +616,76 @@ class TestTailRowsOverOneScale:
         assert [(r.numerator, r.denominator, r.text) for r in rows] == self.reduced_rows(
             n, rate, 0, n + 1)
         assert rows[k].denominator * shared == rate.denominator**n
+
+    @staticmethod
+    def first_modulus(d, n):
+        """The largest power of d that fits one int digit, at most d**n, as
+        tail_table finds it."""
+        m = min(d, d**n)
+        while m < d**n and m * d < 1 << sys.int_info.bits_per_digit:
+            m *= d
+        return m
+
+    @staticmethod
+    def saturates(shared, m, d):
+        """Whether some prime of d divides ``shared`` at least as often as m."""
+        return pow(m // math.gcd(shared, m), d.bit_length(), d) != 0
+
+    @pytest.mark.skipif(sys.int_info.bits_per_digit != 30, reason="rows found for 30-bit digits")
+    def test_saturated_rows_finish_with_a_second_residue(self, monkeypatch):
+        # at rate 1/2250 the first modulus is 2250**2, which holds only 2**2:
+        # 28 of the rows from k = 1 to 41 hold 2**2 or more, and dividing that out
+        # leaves a quotient whose one-digit residue finishes the row
+        n, rate = 500, Fraction(1, 2250)
+        d, scale = rate.denominator, rate.denominator**n
+
+        def no_squaring(*args):
+            raise AssertionError("a row fell back to squaring the modulus")
+
+        monkeypatch.setattr(exact, "_lowest_terms", no_squaring)
+        rows = tail_table(BinomialParams(n, rate), 0, 41).rows
+        assert [(r.numerator, r.denominator, r.text) for r in rows] == self.reduced_rows(
+            n, rate, 0, 41)
+        m = self.first_modulus(d, n)
+        assert m == d**2
+        assert sum(self.saturates(scale // r.denominator, m, d) for r in rows[1:]) == 28
+
+    @pytest.mark.skipif(sys.int_info.bits_per_digit != 30, reason="rows found for 30-bit digits")
+    def test_rows_saturated_twice_fall_back_to_squaring(self, monkeypatch):
+        # rows 53-56 and 61-64 at rate 1/2250 hold 2**4 or more, as often as
+        # 2250**4: the second residue saturates too, and squaring finishes them
+        n, rate = 500, Fraction(1, 2250)
+        d, scale = rate.denominator, rate.denominator**n
+        lowest_terms, squared = exact._lowest_terms, []
+
+        def counting(*args):
+            squared.append(args[0])
+            return lowest_terms(*args)
+
+        monkeypatch.setattr(exact, "_lowest_terms", counting)
+        rows = tail_table(BinomialParams(n, rate), 53, 64).rows
+        assert [(r.numerator, r.denominator, r.text) for r in rows] == self.reduced_rows(
+            n, rate, 53, 64)
+        m = self.first_modulus(d, n)
+        twice = [r.threshold for r in rows if self.saturates(scale // r.denominator, m * m, d)]
+        assert twice == [53, 54, 55, 56, 61, 62, 63, 64]
+        assert len(squared) == len(twice)
+
+    @pytest.mark.skipif(sys.int_info.bits_per_digit != 30, reason="rows found for 30-bit digits")
+    def test_no_second_residue_past_the_scale(self):
+        # at n = 5 and rate 27/70 the first modulus 70**4 squared passes the
+        # scale 70**5; the numerator of row 3 holds 2**6, more than either
+        # holds, so a second residue would divide out more than the scale shares
+        n, rate, k = 5, Fraction(27, 70), 3
+        d, scale = rate.denominator, rate.denominator**n
+        m = self.first_modulus(d, n)
+        assert m < scale < m * m
+        below = sum(comb(n, x) * 27**x * 43 ** (n - x) for x in range(k))
+        assert (scale - below) % 2**6 == 0 and scale % 2**6 and m % 2**5
+        rows = tail_table(BinomialParams(n, rate), 0, n + 1).rows
+        assert [(r.numerator, r.denominator, r.text) for r in rows] == self.reduced_rows(
+            n, rate, 0, n + 1)
+        assert rows[k].denominator == scale // 2**5
 
     @pytest.mark.parametrize("n, rate", [(65, Fraction(7, 2**6 * 3**6)), (60, Fraction(7, 72)),
                                          (101, Fraction(1, 2))])
