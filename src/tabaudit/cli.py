@@ -37,7 +37,7 @@ from . import datasets, pipeline, references, simulate
 from .association import determinant_figure, nominal_correlation, odds_ratio, rate_table
 from .confounding import collapse_comparison, simpson_check
 from .exact import BinomialParams, binomial_upper_tail, hypergeom_upper_tail
-from .render import exact_json, float_json, sig6, text_table
+from .render import exact_json, float_json, int_json, sig6, text_table
 from .svgfig import render_determinant_svg
 from .tables import StratifiedTable, collapse, diff
 
@@ -68,6 +68,8 @@ def _flatten(doc, prefix: str = "", rows: list | None = None) -> list[tuple[str,
             text = ""
         elif isinstance(doc, bool):
             text = "true" if doc else "false"
+        elif isinstance(doc, int):
+            text = str(int_json(doc, prefix))
         else:
             text = str(doc)
         rows.append((prefix, text))
@@ -78,7 +80,11 @@ def _emit(args, text: Callable[[], str], doc: dict) -> None:
     """Write ``doc`` as JSON or CSV, or ``text()`` for the text format: only
     that format calls it."""
     if args.format == "json":
-        payload = json.dumps(doc, indent=2) + "\n"
+        try:
+            payload = json.dumps(doc, indent=2) + "\n"
+        except ValueError:   # an int past str()'s digit limit: the CSV rows name its field
+            _flatten(doc)
+            raise
     elif args.format == "csv":
         out = io.StringIO()
         writer = csv.writer(out, lineterminator="\n")
@@ -222,7 +228,8 @@ def svg_json(table) -> dict:
     caption quoting their display strings, then the SVG drawn with that caption."""
     fig = determinant_figure(table)
     doc = {"correlation": float_json(nominal_correlation(table).value),
-           "parallelogram_area": fig.parallelogram_area, "rect_area": fig.rect_area,
+           "parallelogram_area": int_json(fig.parallelogram_area, "parallelogram_area"),
+           "rect_area": int_json(fig.rect_area, "rect_area"),
            "area_ratio": exact_json(fig.area_ratio)}
     doc["caption"] = [f"correlation {doc['correlation']['display']}",
                       f"area ratio {doc['area_ratio']['display']} "

@@ -61,15 +61,14 @@ the row's numerator steps from the last row's by one subtraction or
 addition of a term, and :func:`tail_table` checks range and order on those
 numerators, one comparison per row. Every prime that a row's numerator
 shares with the scale divides d, so the shared part G = gcd(numerator,
-scale) is read off the numerator's residue modulo m, the largest power of d
-that fits one int digit, found once per table (see :func:`_reduced`):
-gcd(residue, m) is G unless some prime of d divides the numerator at least
-as often as it divides m. Then the numerator is divided by that gcd, a
-one-digit divisor, and the quotient's residue modulo m is taken again;
-a row whose prime saturates m once more, or where m * m passes the scale,
-falls back to squaring m (see :func:`_lowest_terms`). So most rows cost one
-pass over the numerator with a one-digit divisor, plus one exact division
-by G when G > 1, and that quotient is the reduced numerator.
+scale) is read off residues by one loop (see :func:`_reduced`). It starts
+from m, the largest power of d that fits one int digit, found once per
+table. Each pass divides the numerator by gcd(residue modulo m, m). It stops
+once no prime of d divides the numerator as often as it divides m, or once
+the moduli taken make up the scale; otherwise it squares m, capped where
+the moduli taken would pass the scale. So most rows cost one pass over the
+numerator with a one-digit divisor, plus one exact division by G when
+G > 1, and the quotient is the reduced numerator.
 A row carries its reduced numerator and denominator and its decimal text;
 its ``Fraction`` (the identical one) is built on its first read and kept.
 
@@ -212,8 +211,15 @@ def _hyper_count(population: int, draws: int, successes: int, x: int) -> int:
 
 def _drawn_first(population: int, draws: int, successes: int) -> tuple[int, int]:
     """``(draws, successes)``, swapped if ``successes`` is the margin m with the
-    smaller min(m, population - m): the law is symmetric in the two margins."""
-    if min(successes, population - successes) < min(draws, population - draws):
+    smaller min(m, population - m): the law is symmetric in the two margins.
+    ``ValueError`` where that size passes ``sys.maxsize``, which ``math.comb``
+    refuses to take as its count of factors."""
+    drawn, marked = min(draws, population - draws), min(successes, population - successes)
+    if min(drawn, marked) > sys.maxsize:
+        raise ValueError(f"margins draws {draws} and successes {successes} of population "
+                         f"{population}: each margin m has min(m, population - m) past "
+                         f"math.comb's limit of {sys.maxsize}")
+    if marked < drawn:
         return successes, draws
     return draws, successes
 
@@ -358,60 +364,35 @@ class TailTable:
         raise KeyError(threshold)
 
 
-def _lowest_terms(num: int, d: int, scale: int, m: int) -> int:
-    """G = gcd(num, scale), the part that ``num / scale`` shares, for
-    0 < num < scale, where ``scale`` is a power of ``d`` and ``m`` a power of
-    ``d`` from ``d`` up to ``scale``.
+def _reduced(num: int, d: int, scale: int, m: int) -> tuple[int, int]:
+    """(num // G, G) for G = gcd(num, scale), the part that ``num / scale``
+    shares, for 0 < num < scale, where ``scale`` is a power of ``d`` and m a
+    power of ``d`` from ``d`` up to ``scale``; ``tail_table`` passes the
+    largest power of ``d`` that fits one int digit.
 
-    Every prime of G divides ``d``. Take g = gcd(num % m, m), which equals
-    gcd(num, m): each prime p of ``d`` appears in g as often as in ``num`` or
-    in m, whichever is fewer. Where p still divides m / g, ``num`` holds
-    fewer p than m and so fewer than ``scale``, and g holds as many p as G.
-    So g is G when every prime of ``d`` divides m / g, which
-    ``pow(m // g, d.bit_length(), d) == 0`` tests, since no prime divides
-    ``d`` more than ``d.bit_length()`` times; g is G too when m is ``scale``.
-    Otherwise m is squared, capped at ``scale``, and the residue taken again.
-    This is the fallback of :func:`_reduced`, for the rows that it cannot
-    finish with two one-digit residues; a row equal to 1/2 at rate 1/2
-    (numerator 2**(n-1)) takes about log2(n) passes here.
+    Every prime of G divides ``d``. Each pass divides ``num`` by g =
+    gcd(num % m, m), which holds each prime p of ``d`` as often as ``num`` or
+    m, whichever is fewer. Where p still divides m / g, ``num`` held fewer p
+    than m and now holds none. So once every prime of ``d`` divides m / g,
+    which ``pow(m // g, d.bit_length(), d) == 0`` tests (no prime divides
+    ``d`` more than ``d.bit_length()`` times), the parts divided out make G.
+    Otherwise some prime saturated m, and every modulus before it, so m is
+    squared, capped where the product of the moduli taken reaches ``scale``:
+    ``num`` may hold a prime of ``d`` more often than ``scale`` does, and at
+    the cap the parts divided out make G too. Most rows take one pass with a
+    one-digit divisor, a row with a saturating prime one more, and the row
+    2**(n-1) / 2**n at rate 1/2 about log2(n).
     """
+    bits, shared, used = d.bit_length(), 1, 1   # used: the product of the moduli taken
     while True:
         g = gcd(num % m, m)
-        if m == scale or pow(m // g, d.bit_length(), d) == 0:
-            return g
-        m = min(m * m, scale)
-
-
-def _reduced(num: int, d: int, scale: int, m: int) -> tuple[int, int]:
-    """(num // G, G) for G = gcd(num, scale), with ``num``, ``d``, ``scale``
-    and ``m`` as for :func:`_lowest_terms`; ``tail_table`` passes the largest
-    power of ``d`` that fits one int digit as m.
-
-    g = gcd(num % m, m) is G unless some prime of ``d`` saturates m, dividing
-    ``num`` at least as often as m (see :func:`_lowest_terms`). Then ``num``
-    is divided by g, which holds every p of ``d`` as often as ``num`` does
-    except the saturating ones, which it holds as often as m does. The
-    quotient's residue h = gcd(num // g % m, m) finishes G = g h unless a
-    prime of ``d`` saturates m again. Since g h holds each prime of ``d`` at
-    most as often as m * m, that second residue is taken only when m * m
-    divides ``scale``; otherwise, or if a prime saturates again, G is found
-    by :func:`_lowest_terms` from ``num`` and m * m, capped at ``scale``. So
-    most rows take one pass over ``num`` with a one-digit divisor, a row
-    with a saturating prime one or two more, and the quotient by G is the
-    reduced numerator.
-    """
-    bits = d.bit_length()
-    g = gcd(num % m, m)
-    if m == scale or pow(m // g, bits, d) == 0:
-        return (num // g if g > 1 else num), g
-    if m * m <= scale:
-        rest = num // g
-        h = gcd(rest % m, m)
-        if pow(m // h, bits, d) == 0:
-            return (rest // h if h > 1 else rest), g * h
-        m *= m   # a prime of d saturates m * m too
-    g = _lowest_terms(num, d, scale, min(m * m, scale))
-    return num // g, g
+        if g > 1:
+            num //= g
+            shared *= g
+        if m * used == scale or pow(m // g, bits, d) == 0:
+            return num, shared
+        used *= m
+        m = m * m if used * m * m <= scale else scale // used
 
 
 #: Decimal arithmetic that never rounds: every operation is exact or raises.
@@ -426,10 +407,12 @@ def tail_table(params: BinomialParams, k_min: int, k_max: int) -> TailTable:
     recurrence gives each row in lowest terms and the exact ``Decimal`` one,
     stepped with it, gives its text (see the module docstring). Both sum the
     shorter side: up from x = 0, or down from x = n when fewer terms lie
-    from ``k_min`` to n than below it. Rows that share the same G share its
-    denominator and the denominator's text, built once per table. A row
-    outside [0, 1] or above the row before it raises ``ValueError`` here,
-    where the rows are built (see :class:`TailTable`).
+    from ``k_min`` to n than below it. Each row is reduced by one loop,
+    :func:`_reduced`, from the first modulus found here once per table. Rows
+    that share the same G share its denominator and the denominator's text,
+    built once per table. A row outside [0, 1] or above the row before it
+    raises ``ValueError`` here, where the rows are built (see
+    :class:`TailTable`).
     """
     k_min, k_max = _as_int(k_min, "k_min"), _as_int(k_max, "k_max")
     n = params.draws

@@ -68,6 +68,19 @@ def fraction_text(num: int, den: int) -> str:
         return str(Decimal(num)) if den == 1 else f"{Decimal(num)}/{Decimal(den)}"
 
 
+def int_json(value: int, field: str) -> int:
+    """``value``, or ``ValueError`` naming ``field`` where it has more digits
+    than ``sys.get_int_max_str_digits()`` lets ``str`` write: the one check
+    of an int that a document carries bare, worded as :mod:`datasets` words
+    that limit for input."""
+    limit = sys.get_int_max_str_digits()
+    # below 2**(3 * limit), and so below 10**limit, no power of 10 is built
+    if limit and value.bit_length() > 3 * limit and abs(value) >= 10**limit:
+        raise ValueError(f"{field}: an integer has more than {limit} digits, "
+                         "the limit of sys.get_int_max_str_digits()")
+    return value
+
+
 def render(num: int, den: int, text: str | None = None) -> dict:
     """JSON entry for the exact value ``num / den`` in lowest terms: fraction
     text, float value, display. ``text`` is the fraction text if it is

@@ -114,6 +114,22 @@ class TestAnalyze:
         assert err == (f"error: {path}:3: an integer has more than {digit_limit} digits, "
                        "the limit of sys.get_int_max_str_digits()\n")
 
+    # a*d - b*c of these 3 000-digit counts has about 6 000 digits: the JSON
+    # and CSV documents carry it as a bare int, and the text layout leaves it out
+    @pytest.mark.parametrize("fmt", ["text", "json", "csv"])
+    def test_det_past_the_digit_limit(self, capsys, tmp_path, digit_limit, fmt):
+        path = tmp_path / "wide.csv"
+        nines, eights = "9" * 3000, "8" * 3000
+        path.write_text(f"w,{nines},{eights}7,{eights},{nines}1\n")
+        code, out, err = run_cli(capsys, "analyze", "--input", str(path), "--format", fmt)
+        if fmt == "text":
+            assert (code, err) == (0, "")
+            assert "Nominal correlation" in out
+        else:
+            assert (code, out) == (3, "")
+            assert err == (f"error: correlations.strata[0].det: an integer has more than "
+                           f"{digit_limit} digits, the limit of sys.get_int_max_str_digits()\n")
+
     def test_negative_count_is_exit_3(self, capsys, tmp_path):
         bad = tmp_path / "neg.csv"
         bad.write_text("w1,1,-2,3,4\n")
@@ -207,6 +223,22 @@ class TestFisher:
         assert doc["one_in_n"]["display"] == "1.46855e+358"
         assert doc["product"]["value"] == 0.0
         assert doc["product"]["display"] == "2.52201e-360"
+
+
+    # C(N, r) with both margins past 2**63 is past what math.comb takes
+    @pytest.mark.parametrize("fmt", ["text", "json"])
+    @pytest.mark.parametrize("mode", ["stratified", "collapsed"])
+    def test_margins_past_the_comb_limit_are_exit_3(self, capsys, tmp_path, mode, fmt):
+        path = tmp_path / "c20.csv"
+        path.write_text(f"w,{10**19},1,1,{10**19}\n")
+        code, out, err = run_cli(capsys, "fisher", "--input", str(path), "--mode", mode,
+                                 "--format", fmt)
+        assert (code, out) == (3, "")
+        assert err == (f"error: margins draws {10**19 + 1} and successes {10**19 + 1} of "
+                       f"population {2 * 10**19 + 2}: each margin m has min(m, population - m) "
+                       f"past math.comb's limit of {sys.maxsize}\n")
+        for command in ("analyze", "svg"):
+            assert run_cli(capsys, command, "--input", str(path))[0] == 0
 
 
 class TestBinomial:
@@ -472,6 +504,21 @@ class TestSvgCommand:
         doc = json.loads(out)
         assert doc["area_ratio"]["fraction"] == "1/8"
         assert doc["svg"].startswith("<?xml")
+
+    # every format draws the caption, which quotes both areas: the first is
+    # |a*d - b*c|, about 6 000 digits, and at det 0 the second, col1 * col2
+    @pytest.mark.parametrize("fmt", ["text", "json", "csv"])
+    @pytest.mark.parametrize("cells, field", [
+        (("9" * 3000, "8" * 3000 + "7", "8" * 3000, "9" * 3000 + "1"), "parallelogram_area"),
+        (("9" * 3000,) * 4, "rect_area"),
+    ], ids=["det", "margins"])
+    def test_area_past_the_digit_limit(self, capsys, tmp_path, digit_limit, fmt, cells, field):
+        path = tmp_path / "wide.csv"
+        path.write_text(f"w,{','.join(cells)}\n")
+        code, out, err = run_cli(capsys, "svg", "--input", str(path), "--format", fmt)
+        assert (code, out) == (3, "")
+        assert err == (f"error: {field}: an integer has more than {digit_limit} digits, "
+                       "the limit of sys.get_int_max_str_digits()\n")
 
     def test_zero_area_exit_3(self, capsys, tmp_path):
         path = tmp_path / "flat.csv"

@@ -168,6 +168,21 @@ class TestFisherUpperTail:
         with pytest.raises(ValueError, match=f"{field} must be an integer, got {value!r}"):
             hypergeom_upper_tail(k=1, **args)
 
+    def test_margins_past_the_comb_limit_refused(self):
+        # math.comb raises OverflowError past sys.maxsize factors; one small
+        # margin keeps every comb call small, so that table is still summed
+        population, margin = 2 * 10**19 + 2, 10**19 + 1
+        want = (f"margins draws {margin} and successes {margin} of population {population}: "
+                f"each margin m has min(m, population - m) past math.comb's limit of "
+                f"{sys.maxsize}")
+        for k in (0, 1, margin, margin + 1):
+            with pytest.raises(ValueError, match=re.escape(want)):
+                hypergeom_upper_tail(population, margin, margin, k)
+        with pytest.raises(ValueError, match=re.escape(want)):
+            hypergeom_pmf(HypergeomParams(population, margin, margin, 1))
+        assert hypergeom_upper_tail(population, 1, margin, 1) == Fraction(1, 2)
+        assert hypergeom_pmf(HypergeomParams(population, margin, 1, 1)) == Fraction(1, 2)
+
     def test_whole_hospital_scale_against_scipy(self):
         # sparse incidence (1%) at N = 1e5, threshold ~2.5 sd above the mean
         population, draws, successes = 100_000, 10_000, 1_000
@@ -529,6 +544,23 @@ def small_prime_rates(draw):
     return Fraction(draw(st.integers(min_value=0, max_value=d)), d)
 
 
+@st.composite
+def shared_numerators(draw):
+    """(num, d, n) with 0 < num < d**n, d a product of powers of 2, 3, 5 and 7:
+    num holds each prime of d from 0 times up to as often as fits below the
+    scale d**n, which for some primes is more often than the scale holds them."""
+    d = math.prod(p ** draw(st.integers(min_value=0, max_value=3)) for p in (2, 3, 5, 7))
+    d = max(d, 2)
+    n = draw(st.integers(min_value=1, max_value=80))
+    scale, num = d**n, 1
+    for p in draw(st.permutations([p for p in (2, 3, 5, 7) if d % p == 0])):
+        most = 0
+        while num * p ** (most + 1) < scale:
+            most += 1
+        num *= p ** draw(st.integers(min_value=0, max_value=most))
+    return num * draw(st.integers(min_value=1, max_value=(scale - 1) // num)), d, n
+
+
 class TestTailRowsOverOneScale:
     """Each row is Fraction(scale - below, scale) in lowest terms, scale = d**n."""
 
@@ -561,23 +593,29 @@ class TestTailRowsOverOneScale:
         rows = tail_table(BinomialParams(0, rate), 0, 1).rows
         assert [(r.numerator, r.denominator, r.text) for r in rows] == [(1, 1, "1"), (0, 1, "0")]
 
+    @staticmethod
+    def counting_gcd(monkeypatch):
+        """Patch ``exact.gcd`` to count its calls, one per pass of ``_reduced``;
+        returns the list it appends each call's arguments to."""
+        calls = []
+
+        def counting(*args):
+            calls.append(args)
+            return math.gcd(*args)
+
+        monkeypatch.setattr(exact, "gcd", counting)
+        return calls
+
     @pytest.mark.parametrize("n", [3, 101, 100_001])
     def test_half_row_reduces_in_logarithmic_passes(self, n, monkeypatch):
         # at rate 1/2 and odd n the row at (n + 1) / 2 is 2**(n-1) / 2**n, which
         # shares n - 1 factors of d = 2 with the scale
-        passes = 0
-
-        def counting_gcd(*args):
-            nonlocal passes
-            passes += 1
-            return math.gcd(*args)
-
-        monkeypatch.setattr(exact, "gcd", counting_gcd)
+        passes = self.counting_gcd(monkeypatch)
         # the part divided out is 2**(n-1), found from the largest power of 2
         # that fits one int digit, squared until a residue falls short of it
         m = 2 ** min(sys.int_info.bits_per_digit - 1, n)
-        assert exact._lowest_terms(2 ** (n - 1), 2, 2**n, m) == 2 ** (n - 1)
-        assert passes <= math.log2(n) + 3
+        assert exact._reduced(2 ** (n - 1), 2, 2**n, m) == (1, 2 ** (n - 1))
+        assert len(passes) <= math.log2(n) + 3
 
     @staticmethod
     def reduced_rows(n, rate, k_min, k_max):
@@ -626,6 +664,19 @@ class TestTailRowsOverOneScale:
             m *= d
         return m
 
+    @settings(max_examples=300, deadline=None)
+    # row 3 at n = 5, rate 27/70: 2**6 in the numerator, 2**5 in the scale, and
+    # the second modulus capped at 70, the scale over the first modulus 70**4
+    @example(case=(70**5 - sum(comb(5, x) * 27**x * 43 ** (5 - x) for x in range(3)), 70, 5))
+    @example(case=(2**79, 2, 80))   # 2**29, then capped at 2**51
+    @given(case=shared_numerators())
+    def test_reduced_is_the_gcd(self, case):
+        # every exit of the loop: a residue that falls short of its modulus, the
+        # cap at the scale, and the first modulus equal to the scale
+        num, d, n = case
+        g = math.gcd(num, d**n)
+        assert exact._reduced(num, d, d**n, self.first_modulus(d, n)) == (num // g, g)
+
     @staticmethod
     def saturates(shared, m, d):
         """Whether some prime of d divides ``shared`` at least as often as m."""
@@ -635,15 +686,13 @@ class TestTailRowsOverOneScale:
     def test_saturated_rows_finish_with_a_second_residue(self, monkeypatch):
         # at rate 1/2250 the first modulus is 2250**2, which holds only 2**2:
         # 28 of the rows from k = 1 to 41 hold 2**2 or more, and dividing that out
-        # leaves a quotient whose one-digit residue finishes the row
+        # leaves a quotient whose residue modulo 2250**4 finishes the row, so
+        # those rows take two passes and the other 13 one (row 0 is 1 and takes none)
         n, rate = 500, Fraction(1, 2250)
         d, scale = rate.denominator, rate.denominator**n
-
-        def no_squaring(*args):
-            raise AssertionError("a row fell back to squaring the modulus")
-
-        monkeypatch.setattr(exact, "_lowest_terms", no_squaring)
+        passes = self.counting_gcd(monkeypatch)
         rows = tail_table(BinomialParams(n, rate), 0, 41).rows
+        assert len(passes) == 69
         assert [(r.numerator, r.denominator, r.text) for r in rows] == self.reduced_rows(
             n, rate, 0, 41)
         m = self.first_modulus(d, n)
@@ -651,25 +700,30 @@ class TestTailRowsOverOneScale:
         assert sum(self.saturates(scale // r.denominator, m, d) for r in rows[1:]) == 28
 
     @pytest.mark.skipif(sys.int_info.bits_per_digit != 30, reason="rows found for 30-bit digits")
-    def test_rows_saturated_twice_fall_back_to_squaring(self, monkeypatch):
+    def test_rows_saturated_twice_finish_in_two_passes(self, monkeypatch):
         # rows 53-56 and 61-64 at rate 1/2250 hold 2**4 or more, as often as
-        # 2250**4: the second residue saturates too, and squaring finishes them
+        # 2250**4, yet fewer than the 2**6 of the moduli 2250**2 and 2250**4
+        # together: like rows 57-60, which saturate 2250**2 only, each row
+        # takes two passes
         n, rate = 500, Fraction(1, 2250)
         d, scale = rate.denominator, rate.denominator**n
-        lowest_terms, squared = exact._lowest_terms, []
+        passes, per_row = self.counting_gcd(monkeypatch), []
+        reduced = exact._reduced
 
         def counting(*args):
-            squared.append(args[0])
-            return lowest_terms(*args)
+            before = len(passes)
+            result = reduced(*args)
+            per_row.append(len(passes) - before)
+            return result
 
-        monkeypatch.setattr(exact, "_lowest_terms", counting)
+        monkeypatch.setattr(exact, "_reduced", counting)
         rows = tail_table(BinomialParams(n, rate), 53, 64).rows
+        assert per_row == [2] * 12 and len(passes) == 24
         assert [(r.numerator, r.denominator, r.text) for r in rows] == self.reduced_rows(
             n, rate, 53, 64)
         m = self.first_modulus(d, n)
         twice = [r.threshold for r in rows if self.saturates(scale // r.denominator, m * m, d)]
         assert twice == [53, 54, 55, 56, 61, 62, 63, 64]
-        assert len(squared) == len(twice)
 
     @pytest.mark.skipif(sys.int_info.bits_per_digit != 30, reason="rows found for 30-bit digits")
     def test_no_second_residue_past_the_scale(self):
