@@ -43,32 +43,36 @@ their integer numerators T(x) = C(n, x) u**x v**(n-x) step up the same way
 from T(0) = v**n by T(x+1) = T(x) (n - x) u // ((x + 1) v).
 
 Each law has that one recurrence, and each tail sums one side of the
-support [lo, hi] and reads the other as a complement: the side below k when
-k - lo < hi - k, else the side at or above k. The hypergeometric tail below
-k is read as 1 - P(Y >= draws - k + 1), where Y = draws - X counts the draws
-among the population - successes other shifts, so the same upper pass sums
-it. The binomial terms at or above k, T(n), T(n-1), ..., T(k), are read as
-the first n + 1 - k terms at rate v/d, so the same upward steps sum them.
-The result is the identical ``Fraction`` either way, because a ``Fraction``
-is always kept in lowest terms.
+support and reads the other as a complement. The hypergeometric tail on
+[lo, hi] sums the side below k when k - lo < hi - k, else the side at or
+above k; the tail below k is read as 1 - P(Y >= draws - k + 1), where
+Y = draws - X counts the draws among the population - successes other
+shifts, so the same upper pass sums it. The binomial terms at or above k,
+T(n), T(n-1), ..., T(k), are read as the first n + 1 - k terms at rate v/d,
+so the same upward steps sum them. The result is the identical
+``Fraction`` either way, because a ``Fraction`` is always kept in lowest
+terms.
 
-A binomial tail table keeps each row as integers over the table's shared
-``scale = d**n``: the row for k is (scale - below) / scale, where ``below``
-sums T(x) for x < k. When fewer terms lie from the table's first threshold
-to n than below it, the row is instead ``above`` / scale, where ``above``
-sums T(x) for x >= k, stepped up at rate v/d from T(n) = u**n. Either way
-the row's numerator steps from the last row's by one subtraction or
-addition of a term, and :func:`tail_table` checks range and order on those
-numerators, one comparison per row. Every prime that a row's numerator
-shares with the scale divides d, so the shared part G = gcd(numerator,
-scale) is read off residues by one loop (see :func:`_reduced`). It starts
-from m, the largest power of d that fits one int digit, found once per
-table. Each pass divides the numerator by gcd(residue modulo m, m). It stops
-once no prime of d divides the numerator as often as it divides m, or once
-the moduli taken make up the scale; otherwise it squares m, capped where
-the moduli taken would pass the scale. So most rows cost one pass over the
-numerator with a one-digit divisor, plus one exact division by G when
-G > 1, and the quotient is the reduced numerator.
+Every binomial tail is a row of :func:`tail_table`, the one place where a
+binomial tail is summed and checked; :func:`binomial_upper_tail` reads a
+one-row table. A table keeps each row as integers over its shared ``scale =
+d**n``: the row for k is (scale - below) / scale, where ``below`` sums T(x)
+for x < k. When fewer terms lie from the table's first threshold k0 to n
+than below it, that is when n + 1 - k0 < k0, the row is instead ``above`` /
+scale, where ``above`` sums T(x) for x >= k, stepped up at rate v/d from
+T(n) = u**n. Either way the row's numerator steps from the last row's by one
+subtraction or addition of a term, and the one comparison per row that
+checks range and order is made on those numerators. Every prime that a row's
+numerator shares with the scale divides d, so the shared part G =
+gcd(numerator, scale) is read off residues by one loop (see
+:func:`_reduced`). It starts from m, the largest power of d that fits one
+int digit, found once per table. Each pass divides the numerator by
+gcd(residue modulo m, m). It stops once no prime of d divides the numerator
+as often as it divides m, or once the moduli taken make up the scale;
+otherwise it squares m, capped where the moduli taken would pass the scale.
+So most rows cost one pass over the numerator with a one-digit divisor, plus
+one exact division by G when G > 1, and the quotient is the reduced
+numerator.
 A row carries its reduced numerator and denominator and its decimal text;
 its ``Fraction`` (the identical one) is built on its first read and kept.
 
@@ -294,18 +298,10 @@ def _numerators(n: int, rate: Fraction, kind=int):
 
 
 def binomial_upper_tail(params: BinomialParams, k: int) -> Fraction:
-    """P(X >= k); 1 below the support, 0 above it."""
-    k = _as_int(k, "k")
-    n = params.draws
-    if k <= 0:
-        return Fraction(1)
-    if k > n:
-        return Fraction(0)
-    scale = params.rate.denominator**n
-    if k < n - k:
-        return Fraction(scale - sum(islice(_numerators(n, params.rate), k)), scale)
-    # T(n), T(n-1), ..., T(k): the first n + 1 - k terms at rate v/d
-    return Fraction(sum(islice(_numerators(n, 1 - params.rate), n + 1 - k)), scale)
+    """P(X >= k); 1 below the support, 0 above it: the one row of
+    :func:`tail_table` at k, clamped to [0, n + 1]."""
+    k = min(max(_as_int(k, "k"), 0), params.draws + 1)
+    return tail_table(params, k, k).rows[0].exact
 
 
 @dataclass(frozen=True)
@@ -331,31 +327,14 @@ class TailRow:
 class TailTable:
     """Upper-tail probabilities P(X >= k) for a consecutive range of thresholds.
 
-    Every row's denominator divides ``scale``, so the rows are checked by
-    comparing integer numerators over that one shared denominator: each row
-    lies in [0, 1] and no row exceeds the one before it. A table built by
-    hand is checked here, in ``__post_init__``, which divides ``scale`` by
-    each row's denominator. :func:`tail_table` checks its rows as it builds
-    them, on the numerators over ``scale`` that it already holds, and builds
-    its table without this pass. Each row of a table from :func:`tail_table`
-    carries its decimal text.
+    Every row's denominator divides ``scale``. :func:`tail_table` checks each
+    row as it builds it, on its numerator over ``scale``: each row lies in
+    [0, 1] and no row exceeds the one before it. Each row carries its
+    decimal text.
     """
 
     rows: tuple[TailRow, ...]
     scale: int
-
-    def __post_init__(self):
-        prev = None
-        for row in self.rows:
-            factor, rest = divmod(self.scale, max(row.denominator, 1))
-            if rest or row.denominator < 1:
-                raise ValueError(f"denominator at {row.threshold} does not divide the scale")
-            tail = row.numerator * factor   # the row over ``scale``
-            if not 0 <= tail <= self.scale:
-                raise ValueError(f"tail at {row.threshold} outside [0, 1]")
-            if prev is not None and tail > prev:
-                raise ValueError(f"tail increases at threshold {row.threshold}")
-            prev = tail
 
     def at(self, threshold: int) -> Fraction:
         for row in self.rows:
@@ -410,12 +389,16 @@ def tail_table(params: BinomialParams, k_min: int, k_max: int) -> TailTable:
     from ``k_min`` to n than below it. Each row is reduced by one loop,
     :func:`_reduced`, from the first modulus found here once per table. Rows
     that share the same G share its denominator and the denominator's text,
-    built once per table. A row outside [0, 1] or above the row before it
-    raises ``ValueError`` here, where the rows are built (see
-    :class:`TailTable`).
+    built once per table. This is the one check of a tail row: a row
+    outside [0, 1] or above the row before it raises ``ValueError`` here,
+    where it is built. Draws past ``sys.maxsize`` raise ``ValueError``
+    before any term is computed.
     """
     k_min, k_max = _as_int(k_min, "k_min"), _as_int(k_max, "k_max")
     n = params.draws
+    if n > sys.maxsize:   # refused before d**n, which need not finish
+        raise ValueError(f"draws {n} past {sys.maxsize} (sys.maxsize), "
+                         "the most an exact binomial tail takes")
     if not 0 <= k_min <= k_max <= n + 1:
         raise SupportError(f"threshold range [{k_min}, {k_max}] outside [0, {n + 1}]")
     d = params.rate.denominator
@@ -461,8 +444,4 @@ def tail_table(params: BinomialParams, k_min: int, k_max: int) -> TailTable:
             else:
                 num -= next(terms, 0)
                 decimal_num -= next(decimal_terms, 0)
-    # every row is checked above, so the table skips the check of ``TailTable.__post_init__``
-    table = object.__new__(TailTable)
-    object.__setattr__(table, "rows", tuple(rows[::-1] if upper else rows))
-    object.__setattr__(table, "scale", scale)
-    return table
+    return TailTable(tuple(rows[::-1] if upper else rows), scale)

@@ -317,6 +317,23 @@ class TestBinomial:
         code, _, err = run_cli(capsys, "binomial", "--dataset", "derksen", "--k-min", "3")
         assert code == 2
 
+    @pytest.mark.parametrize("fmt", ["text", "json"])
+    def test_draws_past_sys_maxsize_are_exit_3(self, capsys, tmp_path, fmt):
+        # 10**19 + 1 draws: refused before d**n, which would not finish, so the
+        # binomial run is a child process with a timeout
+        path = tmp_path / "c20.csv"
+        path.write_text(f"w,{10**19},1,1,{10**19}\n")
+        proc = subprocess.run([sys.executable, "-m", "tabaudit", "binomial", "--input", str(path),
+                               "--format", fmt], capture_output=True, text=True, timeout=20)
+        assert (proc.returncode, proc.stdout) == (3, "")
+        assert proc.stderr == (f"error: draws {10**19 + 1} past {sys.maxsize} (sys.maxsize), "
+                               "the most an exact binomial tail takes\n")
+        # simulate refuses the same file first, for numpy's sampler
+        code, out, err = run_cli(capsys, "simulate", "--input", str(path), "--format", fmt)
+        assert (code, out) == (3, "")
+        assert err == (f"error: draws {10**19 + 1} must be below 2**63 "
+                       "for numpy's binomial sampler\n")
+
 
 class TestSimpson:
     def test_shops(self, capsys):

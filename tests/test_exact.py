@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 import re
+import subprocess
 import sys
 from fractions import Fraction
 from itertools import combinations
@@ -21,8 +22,6 @@ from tabaudit.exact import (
     BinomialParams,
     HypergeomParams,
     SupportError,
-    TailRow,
-    TailTable,
     binomial_upper_tail,
     fisher_upper_tail,
     hypergeom_pmf,
@@ -351,26 +350,27 @@ class TestTailTable:
         with pytest.raises(ValueError, match=f"{field} must be an integer"):
             tail_table(BinomialParams(5, Fraction(1, 2)), k_min, k_max)
 
-    def test_row_outside_unit_interval_rejected(self):
-        for numerator in (5, -1):
-            with pytest.raises(ValueError, match=r"tail at 3 outside \[0, 1\]"):
-                TailTable((TailRow(3, numerator, 4, f"{numerator}/4"),), scale=8)
-
-    def test_increasing_pair_rejected(self):
-        rows = (TailRow(0, 1, 4, "1/4"), TailRow(1, 1, 2, "1/2"))
-        with pytest.raises(ValueError, match="tail increases at threshold 1"):
-            TailTable(rows, scale=8)
-        assert TailTable(rows[::-1], scale=8).at(0) == Fraction(1, 4)
-
-    def test_denominator_must_divide_scale(self):
-        for denominator in (3, 16, 0, -2):
-            with pytest.raises(ValueError, match="denominator at 0 does not divide the scale"):
-                TailTable((TailRow(0, 1, denominator, f"1/{denominator}"),), scale=8)
-
-    def test_increasing_pair_over_one_denominator_rejected(self):
-        rows = (TailRow(0, 1, 4, "1/4"), TailRow(1, 3, 4, "3/4"))
-        with pytest.raises(ValueError, match="tail increases at threshold 1"):
-            TailTable(rows, scale=8)
+    def test_draws_past_sys_maxsize_refused(self):
+        # d**n would not finish at 2**63 draws, so the refusal is made first; the
+        # calls run in a child process with a timeout, so a missing check fails
+        code = ("from fractions import Fraction\n"
+                "from tabaudit.exact import BinomialParams, binomial_upper_tail, tail_table\n"
+                "params = BinomialParams(2**63, Fraction(1, 3))\n"
+                "for call in (lambda: tail_table(params, 0, 1),\n"
+                "             lambda: binomial_upper_tail(params, 1)):\n"
+                "    try:\n"
+                "        call()\n"
+                "    except ValueError as exc:\n"
+                "        print(exc)\n")
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                              timeout=20)
+        want = (f"draws {2**63} past {sys.maxsize} (sys.maxsize), "
+                "the most an exact binomial tail takes\n")
+        assert (proc.returncode, proc.stdout, proc.stderr) == (0, want * 2, "")
+        # at rate 0 the scale is 1 and every row is 0 or 1: 2**63 - 1 draws still answer
+        params = BinomialParams(2**63 - 1, 0)
+        assert [binomial_upper_tail(params, k) for k in (0, 1, 2**63 - 1, 2**63)] == [1, 0, 0, 0]
+        assert [row.exact for row in tail_table(params, 0, 2).rows] == [1, 0, 0]
 
     @pytest.mark.parametrize("k_min", [0, 8])
     def test_negative_term_refused_where_the_rows_are_built(self, k_min, monkeypatch):
@@ -486,10 +486,11 @@ class TestAgainstCombOracle:
     @given(n=st.integers(min_value=3, max_value=2000), rate=rates,
            depth=st.integers(min_value=1, max_value=30))
     def test_binomial_tail(self, side, n, rate, depth):
-        # the kernel reads the tail as 1 minus the k terms below k when k < n - k, else
-        # sums the n + 1 - k terms at or above k as the first terms at rate 1 - rate
-        k = min(depth, (n - 1) // 2) if side == "lower" else max(n - depth, (n + 1) // 2)
-        assert (k < n - k) == (side == "lower")
+        # tail_table's one row at k sums the n + 1 - k terms at or above k as the
+        # first terms at rate 1 - rate when n + 1 - k < k, else reads the tail as
+        # 1 minus the k terms below k
+        k = min(depth, (n + 1) // 2) if side == "lower" else max(n - depth, (n + 3) // 2)
+        assert (n + 1 - k < k) == (side == "upper")
         params = BinomialParams(n, rate)
         want = (oracle.binomial_upper_tail(n, rate, k) if side == "lower"
                 else sum(oracle.binomial_pmf(n, rate, x) for x in range(k, n + 1)))
@@ -519,8 +520,11 @@ class TestAgainstCombOracle:
         for row in tail_table(BinomialParams(n, rate), k_min, k_max).rows:
             assert row.exact == oracle.binomial_upper_tail(n, rate, row.threshold)
 
-    @pytest.mark.parametrize("rate", [Fraction(0), Fraction(1)])
-    @pytest.mark.parametrize("n", [0, 1, 7])
+    # n = 10 and 201 at rates 1/2 and 13/1533 reach k = n/2 and (n + 1)/2, where
+    # the one-row table sums the side below k
+    @pytest.mark.parametrize("rate", [Fraction(0), Fraction(1), Fraction(1, 2),
+                                      Fraction(13, 1533)])
+    @pytest.mark.parametrize("n", [0, 1, 7, 10, 201])
     def test_degenerate_rates_and_empty_draw(self, n, rate):
         params = BinomialParams(n, rate)
         for k in range(-2, n + 4):
@@ -794,7 +798,7 @@ class TestTailRowsOverOneScale:
     def test_exact_is_built_once(self):
         row = tail_table(BinomialParams(40, Fraction(7, 72)), 5, 5).rows[0]
         assert row.exact is row.exact
-        assert row.exact == binomial_upper_tail(BinomialParams(40, Fraction(7, 72)), 5)
+        assert row.exact == oracle.binomial_upper_tail(40, Fraction(7, 72), 5)
 
 
 class TestFloatBoundary:
