@@ -37,7 +37,7 @@ from . import datasets, pipeline, references, simulate
 from .association import determinant_figure, nominal_correlation, odds_ratio, rate_table
 from .confounding import collapse_comparison, simpson_check
 from .exact import BinomialParams, binomial_upper_tail, hypergeom_upper_tail
-from .render import exact_json, float_json, int_json, sig6, text_table
+from .render import exact_json, float_json, int_json, text_table
 from .svgfig import render_determinant_svg
 from .tables import StratifiedTable, collapse, diff
 
@@ -216,9 +216,9 @@ def cmd_simulate(args, table, head: str):
     given, (lo, hi) = doc["spec"], doc["interval"]
     return doc, lambda: (
         f"{head}; model {given['model']}, trials {given['trials']}, seed {given['seed']}\n"
-        f"P(X >= {doc['threshold']}) estimate {sig6(doc['estimate'])} "
-        f"(stderr {sig6(doc['stderr'])})\n"
-        f"3-sigma interval [{sig6(lo)}, {sig6(hi)}]\n"
+        f"P(X >= {doc['threshold']}) estimate {doc['estimate']:.6g} "
+        f"(stderr {doc['stderr']:.6g})\n"
+        f"3-sigma interval [{lo:.6g}, {hi:.6g}]\n"
         f"exact {doc['exact']['display']}"
     )
 

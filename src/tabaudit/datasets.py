@@ -150,9 +150,12 @@ def from_json_dict(doc: Mapping, source: str = "<json>") -> StratifiedTable:
 
 
 def _read_text(path: Path) -> str:
-    """The file's text as UTF-8 whatever the locale; a bad byte is an input error."""
+    """The file's text as UTF-8 whatever the locale, less a leading byte-order
+    mark (as Excel's "CSV UTF-8" writes); a bad byte is an input error."""
     try:
-        return path.read_text(encoding="utf-8")
+        # not "utf-8-sig": it decodes the bytes after the mark, so a bad
+        # byte's offset would be 3 short
+        return path.read_text(encoding="utf-8").removeprefix("\ufeff")
     except UnicodeDecodeError as exc:
         raise DatasetFormatError(f"{path}: not UTF-8 at byte {exc.start} ({exc.reason})") from None
 

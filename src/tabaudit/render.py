@@ -4,6 +4,11 @@
 the fraction text, the correctly rounded float and a display string of 6
 significant figures. The text layouts read those strings from the JSON
 document, so a number reads the same in every format.
+
+A float displays as ``format(x, ".6g")``, its exact value correctly rounded to
+6 significant figures. Only :func:`render` falls back to the exact value, where
+the quotient's float lost figures: past the float range, or below its normal
+range for a non-zero value.
 """
 
 from __future__ import annotations
@@ -13,30 +18,6 @@ import sys
 from decimal import Decimal
 from fractions import Fraction
 from typing import Sequence
-
-
-def sig6(x) -> str:
-    """Render a number to 6 significant figures."""
-    return _sig6(_to_float(x), lambda: Fraction(x))
-
-
-def _to_float(x) -> float | None:
-    """``float(x)``, or None where the value is too large for a float."""
-    try:
-        return float(x)
-    except OverflowError:
-        return None
-
-
-def _sig6(value: float | None, exact) -> str:
-    """``value`` to 6 significant figures, or the exact value ``exact()`` if the
-    float lost it: on overflow (None), or below the normal range for a non-zero
-    value (subnormal or flushed to 0), which keeps fewer than 6 figures."""
-    if value is None or abs(value) < sys.float_info.min:
-        f = exact()
-        if f != 0:
-            return _sig6_exact(f)
-    return format(value, ".6g")
 
 
 def _sig6_exact(f: Fraction) -> str:
@@ -96,8 +77,13 @@ def render(num: int, den: int, text: str | None = None) -> dict:
         value = num / den
     except OverflowError:
         value = None
-    return {"fraction": text, "value": value,
-            "display": _sig6(value, lambda: Fraction(num, den))}
+    # past the float range, or below its normal range, a non-zero float keeps
+    # fewer than 6 figures of the value: display the exact value instead
+    if num and (value is None or abs(value) < sys.float_info.min):
+        display = _sig6_exact(Fraction(num, den))
+    else:
+        display = format(value, ".6g")
+    return {"fraction": text, "value": value, "display": display}
 
 
 def inverse(num: int, den: int, text: str) -> dict | None:
@@ -117,7 +103,7 @@ def exact_json(f: Fraction | None) -> dict | None:
 
 
 def float_json(x: float | None) -> dict | None:
-    return None if x is None else {"value": x, "display": sig6(x)}
+    return None if x is None else {"value": x, "display": format(x, ".6g")}
 
 
 def text_table(headers: Sequence[str], rows: Sequence[Sequence[str]]) -> str:

@@ -146,6 +146,9 @@ def _sum_lanes(count, lanes, workers: int) -> int:
     try:
         with lock:   # no job takes a lane before its submit is recorded here
             for job in range(workers - 1):
+                # _executor() itself can raise: on a cold pool it imports
+                # concurrent.futures.thread, which raises RuntimeError once
+                # interpreter shutdown has begun, before any executor exists
                 executor = None
                 try:
                     executor = _executor()

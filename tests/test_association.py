@@ -192,6 +192,8 @@ class TestRateTable:
         assert rt.pooled_rate("original", "V") == Fraction(14, 201)
         assert rt.pooled_rate("derksen", "Other") == Fraction(14, 1531)
         assert rt.pooled_rate("derksen", "V") == Fraction(6, 203)
+        with pytest.raises(KeyError):
+            rt.pooled_rate("shops", "V")
 
     def test_zero_shift_group_undefined(self):
         empty_row = StratifiedTable((("A", Table2x2(0, 0, 3, 5)),), name="edge")

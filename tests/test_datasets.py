@@ -199,3 +199,15 @@ class TestLoadPath:
         unknown.write_text("x")
         with pytest.raises(datasets.DatasetFormatError, match="suffix"):
             datasets.load_path(unknown)
+
+    @pytest.mark.parametrize("suffix, text", [
+        (".csv", "stratum,a,b,c,d\nJKZ,8,134,0,887\n"),
+        (".csv", "JKZ,8,134,0,887\n"),
+        (".json", json.dumps(datasets.to_json_dict(datasets.get("derksen")))),
+    ], ids=["csv-header", "csv-headerless", "json"])
+    def test_byte_order_mark_is_not_data(self, tmp_path, suffix, text):
+        # Excel's "CSV UTF-8" starts the file with a UTF-8 byte-order mark
+        plain, marked = tmp_path / f"plain{suffix}", tmp_path / f"marked{suffix}"
+        plain.write_bytes(text.encode())
+        marked.write_bytes(b"\xef\xbb\xbf" + text.encode())
+        assert datasets.load_path(marked).strata == datasets.load_path(plain).strata

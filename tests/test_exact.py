@@ -320,6 +320,8 @@ class TestTailTable:
         table = tail_table(BinomialParams(203, Fraction(14, 1531)), 3, 9)
         assert rel_close(table.at(8), 0.000630018)
         assert rel_close(table.at(3), 0.284318)
+        with pytest.raises(KeyError):
+            table.at(10)   # past the table's last row
 
     def test_rows_match_single_calls(self):
         params = BinomialParams(40, Fraction(3, 11))

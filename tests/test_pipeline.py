@@ -8,7 +8,7 @@ import sys
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from conftest import rel_close, stratified_tables
@@ -25,7 +25,7 @@ from tabaudit.pipeline import (
     tail_rows,
 )
 from tabaudit.exact import BinomialParams, binomial_upper_tail
-from tabaudit.render import exact_json, inverse, sig6
+from tabaudit.render import exact_json, float_json, inverse
 from tabaudit.tables import StratifiedTable, Table2x2
 
 ORIGINAL = datasets.get("original")
@@ -322,7 +322,7 @@ class TestReplicate:
             if isinstance(node, dict):
                 if "fraction" in node and "value" in node:
                     assert node["value"] == float(Fraction(node["fraction"]))
-                    assert node["display"] == sig6(node["value"])
+                    assert node["display"] == format(node["value"], ".6g")
                 for value in node.values():
                     walk(value)
             elif isinstance(node, list):
@@ -403,7 +403,7 @@ class TestExactJson:
                 assert entry["threshold"] == row.threshold
                 assert entry["fraction"] == row.text == str(row.exact)
                 assert entry["value"] == float(row.exact)
-                assert entry["display"] == sig6(row.exact)
+                assert entry["display"] == exact_json(row.exact)["display"]
             assert doc["tail_at_k_obs"]["fraction"] == str(r.tail_at_k_obs)
         finally:
             sys.set_int_max_str_digits(limit)
@@ -453,15 +453,15 @@ class TestExactJson:
 
     def test_display_past_float_range(self):
         # 6 significant figures of the exact value, rounded half to even
-        assert sig6(Fraction(9999995 * 10**394)) == "1e+401"
-        assert sig6(Fraction(9999985 * 10**394)) == "9.99998e+400"
-        assert sig6(-Fraction(10**400, 3)) == "-3.33333e+399"
-        assert sig6(Fraction(3, 10**400)) == "3e-400"
+        assert exact_json(Fraction(9999995 * 10**394))["display"] == "1e+401"
+        assert exact_json(Fraction(9999985 * 10**394))["display"] == "9.99998e+400"
+        assert exact_json(-Fraction(10**400, 3))["display"] == "-3.33333e+399"
+        assert exact_json(Fraction(3, 10**400))["display"] == "3e-400"
         big = exact_json(Fraction(10**400, 7))
         assert (big["value"], big["display"]) == (None, "1.42857e+399")
         tiny = exact_json(Fraction(7, 10**400))
         assert (tiny["value"], tiny["display"]) == (0.0, "7e-400")
-        assert exact_json(Fraction(0))["display"] == sig6(0.0) == "0"
+        assert exact_json(Fraction(0))["display"] == float_json(0.0)["display"] == "0"
 
     def test_tail_rows_display_exact_below_float_range(self):
         # 400 draws at 1/100: rows from ~1e-308 down to 1e-800 are subnormal
@@ -470,7 +470,8 @@ class TestExactJson:
         doc = binomial_json(r)
         assert any(0 < entry["value"] < sys.float_info.min for entry in doc["rows"])
         rows = tail_rows(doc["rows"])
-        assert [text for _, text in rows] == [sig6(row.exact) for row in r.tails.rows]
+        assert [text for _, text in rows] == [exact_json(row.exact)["display"]
+                                              for row in r.tails.rows]
         assert rows[400] == [">= 400", "1e-800"]
         assert rows[401] == [">= 401", "0"]
 
@@ -478,5 +479,13 @@ class TestExactJson:
         # float(1/(3e320)) is subnormal: it keeps fewer than 6 significant figures
         tiny = Fraction(1, 3 * 10**320)
         assert float(tiny) != 0
-        assert sig6(tiny) == exact_json(tiny)["display"] == "3.33333e-321"
-        assert sig6(sys.float_info.min) == "2.22507e-308"
+        assert exact_json(tiny)["display"] == "3.33333e-321"
+        assert float_json(sys.float_info.min)["display"] == "2.22507e-308"
+
+    @given(st.floats(allow_nan=False, allow_infinity=False).filter(bool))
+    @example(5e-324)                    # the least subnormal
+    @example(-sys.float_info.min / 3)   # a negative subnormal
+    @example(sys.float_info.max)
+    def test_float_display_is_its_exact_display(self, x):
+        # a float's .6g text is its exact value to 6 figures, subnormal or not
+        assert float_json(x)["display"] == exact_json(Fraction(x))["display"]

@@ -155,6 +155,14 @@ class TestWorkers:
             results.append(simulate_tail(spec, 5))
         assert results[0] == results[1] == results[2]
 
+    def test_cpus_without_an_affinity_mask(self, monkeypatch):
+        # where the platform has no sched_getaffinity, the CPU count stands in
+        spec = MULTI_BLOCK_SPECS[0]
+        serial = self.serial_result(spec, monkeypatch)
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        assert simulate._cpus() == (os.cpu_count() or 1)
+        assert simulate_tail(spec, 5) == serial
+
     def test_concurrent_calls_equal_serial_calls(self):
         # more calling threads than cores, all handing lanes to the same helpers
         specs = [*MULTI_BLOCK_SPECS, binomial_spec(trials=5000, seed=2)] * 2

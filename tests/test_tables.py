@@ -94,6 +94,11 @@ class TestCollapse:
         assert first == self.cell_sum(s) and collapse(s) is first
         assert collapse(s.transpose()) == self.cell_sum(s.transpose()) == first.transpose()
 
+    def test_get_by_label(self):
+        assert ORIGINAL.get("RKZ1") == Table2x2(1, 0, 4, 361)
+        with pytest.raises(KeyError):
+            ORIGINAL.get("RKZ3")
+
     def test_labels_preserved(self):
         pooled = collapse(ORIGINAL)
         assert pooled.row_labels == ("V", "Other")
