@@ -42,7 +42,6 @@ from .tables import (
     collapse,
     diff,
     margins,
-    validate,
 )
 
 __version__ = "0.1.0"
@@ -91,5 +90,4 @@ __all__ = [
     "simulate_heterogeneous",
     "simulate_tail",
     "tail_table",
-    "validate",
 ]

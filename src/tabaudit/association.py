@@ -26,10 +26,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Literal, Sequence
 
-from .tables import StratifiedTable, Table2x2, collapse
-
-#: The stratum label of a pooled (collapsed) row.
-POOLED_LABEL = "All"
+from .tables import POOLED_LABEL, StratifiedTable, Table2x2, collapse
 
 
 @dataclass(frozen=True)
@@ -175,12 +172,13 @@ class FigureModel:
     The two row vectors (a, b) and (c, d) span a parallelogram whose area is
     |det|; the bounding rectangle runs from the origin to the column sums, so
     the far parallelogram vertex v1 + v2 is exactly the rectangle's far
-    corner. ``area_ratio`` is the parallelogram-to-rectangle area fraction.
+    corner. ``polygon`` therefore takes ``rect`` as that vertex instead of
+    keeping the sum a second time. ``area_ratio`` is the
+    parallelogram-to-rectangle area fraction.
     """
 
     v1: tuple[int, int]
     v2: tuple[int, int]
-    v_sum: tuple[int, int]
     rect: tuple[int, int]            # (col 1 sum, col 2 sum)
     parallelogram_area: int          # |a*d - b*c|
     rect_area: int
@@ -188,7 +186,7 @@ class FigureModel:
 
     @property
     def polygon(self) -> tuple[tuple[int, int], ...]:
-        return ((0, 0), self.v1, self.v_sum, self.v2)
+        return ((0, 0), self.v1, self.rect, self.v2)
 
 
 def determinant_figure(t: Table2x2) -> FigureModel:
@@ -198,7 +196,6 @@ def determinant_figure(t: Table2x2) -> FigureModel:
     return FigureModel(
         v1=(t.a, t.b),
         v2=(t.c, t.d),
-        v_sum=(t.a + t.c, t.b + t.d),
         rect=(t.col1, t.col2),
         parallelogram_area=abs(det),
         rect_area=rect_area,

@@ -17,7 +17,7 @@ from __future__ import annotations
 import operator
 from dataclasses import dataclass
 from functools import cached_property
-from typing import NamedTuple, Sequence
+from typing import NamedTuple
 
 
 class TableValidationError(ValueError):
@@ -117,6 +117,8 @@ class StratifiedTable:
         for label, table in strata:
             if label in seen:
                 raise TableValidationError(f"duplicate stratum label {label!r}")
+            if label == POOLED_LABEL:
+                raise TableValidationError(f"stratum label {label!r} names the pooled table")
             seen.add(label)
             if not isinstance(table, Table2x2):
                 raise TableValidationError(f"stratum {label!r} is not a Table2x2")
@@ -161,6 +163,10 @@ class StratifiedTable:
         c = sum(t.c for t in self.tables)
         d = sum(t.d for t in self.tables)
         return Table2x2(a, b, c, d, row_labels=self.row_labels, col_labels=self.col_labels)
+
+
+#: The stratum label of a pooled (collapsed) table, which no stratum may carry.
+POOLED_LABEL = "All"
 
 
 def collapse(s: StratifiedTable) -> Table2x2:
@@ -217,53 +223,3 @@ def diff(a: StratifiedTable, b: StratifiedTable) -> DatasetDiff:
         other_incident_delta=sum(d.cells[1][0] for d in deltas),
         total_delta=sum(d.total for d in deltas),
     )
-
-
-def validate(
-    counts: Sequence[Sequence[int]],
-    row_sums: Sequence[int] | None = None,
-    col_sums: Sequence[int] | None = None,
-    total: int | None = None,
-    row_labels: Sequence[str] = ("V", "Other"),
-    col_labels: Sequence[str] = ("Incident", "No incident"),
-) -> Table2x2:
-    """Build a Table2x2 from raw counts, checking any redundant margins.
-
-    Accepts either the inner 2x2 cells or the bordered 3x3 form whose last
-    row and column carry sums. Margins supplied separately (``row_sums`` and
-    ``col_sums`` as two sums each, ``total`` as one), embedded in the
-    bordered form, or both, must each be a count equal to the cell-derived
-    value; anything else raises an error naming the offending margin.
-    """
-    rows = [list(r) for r in counts]
-    if len(rows) not in (2, 3) or any(len(r) != len(rows) for r in rows):
-        shape = "x".join(str(len(r)) for r in rows) or "empty"
-        raise TableValidationError(
-            f"expected a 2x2 or bordered 3x3 count grid, got rows of length {shape}")
-
-    t = Table2x2(rows[0][0], rows[0][1], rows[1][0], rows[1][1],
-                 row_labels=row_labels, col_labels=col_labels)
-
-    names = ([f"sum of row {label!r}" for label in t.row_labels]
-             + [f"sum of column {label!r}" for label in t.col_labels] + ["grand total"])
-    values = [t.row1, t.row2, t.col1, t.col2, t.total]
-    checks = []   # (name, supplied, derived value) for every margin supplied
-    if len(rows) == 3:
-        checks += zip(names, [rows[0][2], rows[1][2], *rows[2]], values)
-    for field, sums, at in (("row_sums", row_sums, 0), ("col_sums", col_sums, 2)):
-        if sums is not None:
-            try:
-                pair = tuple(sums)
-            except TypeError:   # a single number
-                pair = ()
-            if len(pair) != 2:
-                raise TableValidationError(f"{field}: expected two sums, got {sums!r}")
-            checks += zip(names[at:at + 2], pair, values[at:at + 2])
-    if total is not None:
-        checks.append((names[4], total, values[4]))
-    for where, supplied, expect in checks:
-        supplied = _as_count(supplied, where)
-        if supplied != expect:
-            raise TableValidationError(
-                f"{where}: supplied {supplied} != {expect} derived from cells")
-    return t

@@ -51,11 +51,6 @@ def scaled(t: Table2x2, factor: int) -> Table2x2:
                     row_labels=t.row_labels, col_labels=t.col_labels)
 
 
-def bordered(t: Table2x2) -> list[list[int]]:
-    """The 3x3 form of ``t``: its cells with the sum row and sum column appended."""
-    return [[t.a, t.b, t.row1], [t.c, t.d, t.row2], [t.col1, t.col2, t.total]]
-
-
 def support(params: HypergeomParams) -> range:
     """Every outcome the hypergeometric draw of ``params`` can take."""
     lo = max(0, params.draws + params.successes - params.population)

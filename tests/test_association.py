@@ -224,7 +224,7 @@ class TestDeterminantFigure:
         assert fig.parallelogram_area == 18849
         assert fig.rect_area == 46089
         assert math.isclose(float(fig.area_ratio), 0.40896960229121915, rel_tol=1e-12)
-        assert fig.v_sum == fig.rect == (27, 1707)
+        assert fig.polygon[2] == fig.rect == (27, 1707)
 
     def test_identity(self):
         fig = determinant_figure(Table2x2(1, 0, 0, 1))
@@ -242,7 +242,7 @@ class TestDeterminantFigure:
     @given(tables)
     def test_geometry_consistency(self, t):
         fig = determinant_figure(t)
-        assert fig.v_sum == (fig.v1[0] + fig.v2[0], fig.v1[1] + fig.v2[1])
+        assert fig.polygon[2] == (fig.v1[0] + fig.v2[0], fig.v1[1] + fig.v2[1])
         assert fig.parallelogram_area == abs(t.a * t.d - t.b * t.c)
         assert fig.rect == (t.col1, t.col2)
         assert fig.polygon[0] == (0, 0)

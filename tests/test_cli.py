@@ -137,6 +137,19 @@ class TestAnalyze:
         assert code == 3
         assert "negative" in err
 
+    @pytest.mark.parametrize("name, text", [
+        ("all.csv", "All,1,2,3,4\nB,5,6,7,8\n"),
+        ("all.json", '{"row_labels": ["V", "Other"], "col_labels": ["I", "N"], "strata": '
+                     '[{"label": "B", "counts": [[5, 6], [7, 8]]}, '
+                     '{"label": "All", "counts": [[1, 2], [3, 4]]}]}'),
+    ], ids=["csv", "json"])
+    def test_stratum_labelled_all_is_exit_3(self, capsys, tmp_path, name, text):
+        # "All" labels the pooled table, so a stratum of that name used to print as it
+        path = tmp_path / name
+        path.write_text(text)
+        code, out, err = run_cli(capsys, "analyze", "--input", str(path))
+        assert (code, out, err) == (3, "", "error: stratum label 'All' names the pooled table\n")
+
     @pytest.mark.parametrize("suffix, data, at, reason", [
         (".csv", b"\xffJKZ,8,134,0,887\n", 0, "invalid start byte"),
         (".json", b'{"name": "w\xe9rd"}', 11, "invalid continuation byte"),

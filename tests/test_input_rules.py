@@ -4,7 +4,6 @@ bad one with the same error, because each rule is checked in one place."""
 from __future__ import annotations
 
 import random
-import re
 from fractions import Fraction
 
 import pytest
@@ -13,7 +12,7 @@ from tabaudit import datasets, exact
 from tabaudit.exact import HypergeomParams, hypergeom_upper_tail
 from tabaudit.pipeline import fisher_pipeline, replicate
 from tabaudit.simulate import SimulationSpec, simulate_heterogeneous, simulate_tail
-from tabaudit.tables import Table2x2, TableValidationError, validate
+from tabaudit.tables import Table2x2, TableValidationError
 
 BINOMIAL = {"model": "binomial", "trials": 100, "seed": 0, "draws": 10, "rate": "1/3"}
 
@@ -77,60 +76,12 @@ def test_hypergeometric_margins(population, draws, successes, message):
             call()
 
 
-#: Cells [[1, 0], [0, 0]]: the margins in the order row V, row Other,
-#: column Incident, column No incident and grand total.
-CELLS, MARGINS = [[1, 0], [0, 0]], [1, 0, 1, 0, 1]
-NAMES = ["sum of row 'V'", "sum of row 'Other'", "sum of column 'Incident'",
-         "sum of column 'No incident'", "grand total"]
-
-
-def bordered(margins):
-    return [[*CELLS[0], margins[0]], [*CELLS[1], margins[1]], margins[2:]]
-
-
-def separate(margins):
-    return {"row_sums": margins[0:2], "col_sums": margins[2:4], "total": margins[4]}
-
-
-@pytest.mark.parametrize("position", range(5),
-                         ids=["row-V", "row-Other", "col-Incident", "col-No-incident", "total"])
-@pytest.mark.parametrize("bad, message", [
-    (bool, "count {!r} is a boolean, not an integer"),
-    (float, "count {!r} is not an integer"),
-    (Fraction, "count {!r} is not an integer"),
-    (lambda m: -1, "count -1 is negative"),
-    (lambda m: m + 1, "supplied {} != {derived} derived from cells"),
-], ids=["bool", "float", "fraction", "negative", "mismatch"])
-def test_supplied_margins(position, bad, message):
-    # bool, float and Fraction keep the derived value, which the separate
-    # arguments used to accept; a negative count was reported as a mismatch
-    margins = list(MARGINS)
-    derived = margins[position]
-    margins[position] = bad(derived)
-    expected = f"{NAMES[position]}: {message.format(margins[position], derived=derived)}"
-    for call in (lambda: validate(bordered(margins)),
-                 lambda: validate(CELLS, **separate(margins))):
-        with pytest.raises(TableValidationError, match=f"^{re.escape(expected)}$"):
-            call()
-
-
-@pytest.mark.parametrize("field, sums", [("row_sums", [1]), ("row_sums", []),
-                                         ("col_sums", (1, 0, 0)), ("col_sums", 1)],
-                         ids=["one", "none", "three", "scalar"])
-def test_margin_lists_hold_two_sums(field, sums):
-    # zip used to stop at the shorter list, so [1] checked one sum of two
-    with pytest.raises(TableValidationError, match=rf"^{field}: expected two sums"):
-        validate(CELLS, **{field: sums})
-
-
 @pytest.mark.parametrize("field", ["row_labels", "col_labels"])
 def test_bare_string_is_not_a_label_pair(field):
     # tuple("VO") is ("V", "O"): a string would be split into two labels
-    for call in (lambda: Table2x2(1, 2, 3, 4, **{field: "VO"}),
-                 lambda: validate(CELLS, **{field: "VO"})):
-        with pytest.raises(TableValidationError,
-                           match=f"^{field}: expected exactly two labels, got 'VO'$"):
-            call()
+    with pytest.raises(TableValidationError,
+                       match=f"^{field}: expected exactly two labels, got 'VO'$"):
+        Table2x2(1, 2, 3, 4, **{field: "VO"})
     assert getattr(Table2x2(1, 2, 3, 4, **{field: ["V", "O"]}), field) == ("V", "O")
 
 

@@ -2,11 +2,14 @@
 
 from __future__ import annotations
 
+import re
+from fractions import Fraction
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from conftest import apply_diff, bordered, stratified_tables, tables
+from conftest import apply_diff, stratified_tables, tables
 from tabaudit import datasets
 from tabaudit.tables import (
     StratifiedTable,
@@ -15,7 +18,6 @@ from tabaudit.tables import (
     collapse,
     diff,
     margins,
-    validate,
 )
 
 
@@ -47,10 +49,17 @@ class TestMargins:
         assert margins(Table2x2(6, 197, 14, 1517)) == ((203, 1531), (20, 1714), 1734)
 
     def test_rejects_negative_and_non_integer(self):
-        with pytest.raises(TableValidationError, match="negative"):
-            Table2x2(1, -2, 3, 4)
-        with pytest.raises(TableValidationError, match="not an integer"):
-            Table2x2(1, 2.5, 3, 4)
+        # an integral bool, float or Fraction is still not a count
+        for bad, message in ((True, "True is a boolean, not an integer"),
+                             (2.0, "2.0 is not an integer"),
+                             (Fraction(2), "Fraction(2, 1) is not an integer"),
+                             (-2, "-2 is negative")):
+            for at, name in enumerate("abcd"):
+                cells = [1, 2, 3, 4]
+                cells[at] = bad
+                with pytest.raises(TableValidationError,
+                                   match=f"^cell {name}: count {re.escape(message)}$"):
+                    Table2x2(*cells)
 
 
 class TestCollapse:
@@ -119,37 +128,11 @@ class TestCollapse:
         with pytest.raises(TableValidationError, match="stratum 'B' is not a Table2x2"):
             StratifiedTable((("A", Table2x2(1, 2, 3, 4)), ("B", ((1, 2), (3, 4)))))
 
-
-class TestValidate:
-    def test_bordered_rkz2(self):
-        t = validate([[5, 53, 58], [9, 272, 281], [14, 325, 339]])
-        assert t.cells() == ((5, 53), (9, 272))
-
-    def test_inner_passthrough(self):
-        assert validate([[1, 1], [1, 1]]).total == 4
-
-    def test_inconsistent_sum_row(self):
-        with pytest.raises(TableValidationError, match="column 'Incident'"):
-            validate([[5, 53, 58], [9, 272, 281], [15, 325, 339]])
-
-    def test_inconsistent_sum_column(self):
-        with pytest.raises(TableValidationError, match="row 'V'"):
-            validate([[5, 53, 59], [9, 272, 281], [14, 325, 339]])
-
-    def test_supplied_margins_checked(self):
-        validate([[5, 53], [9, 272]], row_sums=(58, 281), col_sums=(14, 325), total=339)
-        with pytest.raises(TableValidationError, match="grand total"):
-            validate([[5, 53], [9, 272]], total=340)
-        with pytest.raises(TableValidationError, match="row 'Other'"):
-            validate([[5, 53], [9, 272]], row_sums=(58, 280))
-
-    def test_bad_shape(self):
-        with pytest.raises(TableValidationError, match="2x2 or bordered 3x3"):
-            validate([[1, 2, 3], [4, 5, 6]])
-
-    @given(tables)
-    def test_bordered_round_trip(self, t):
-        assert validate(bordered(t)).cells() == t.cells()
+    def test_pooled_label_rejected(self):
+        # every output marks the pooled table "All": a stratum of that name would read as it
+        with pytest.raises(TableValidationError,
+                           match="^stratum label 'All' names the pooled table$"):
+            StratifiedTable((("B", Table2x2(5, 6, 7, 8)), ("All", Table2x2(1, 2, 3, 4))))
 
 
 class TestTranspose:
