@@ -5,8 +5,8 @@ diff. Every subcommand supports ``--format text|json|csv``; output is
 byte-identical for identical invocations (the simulator is seeded); files
 are read and ``--out`` written as UTF-8. Exit codes: 0 success, 2 input or
 output error, 3 analysis/validation error, 4 replication mismatch. The
-argument parser is built once per process and shared by every
-``main`` call.
+argument parser, whose source and output options are each declared once in a
+parent parser, is built once per process and shared by every ``main`` call.
 
 ``main`` is the one path from input to output. It loads the dataset and, for
 binomial, simulate and svg, the ``--stratum`` or pooled table, and passes it
@@ -16,7 +16,8 @@ Each returns ``(doc, text)``: its JSON document and a function that renders
 its text from that document alone, so every number is written once, by the
 document's builder, and reads the same in every format; only ``--format
 text`` calls it. ``main`` puts ``"dataset"`` and ``"table"`` first in the
-document, writes it once, and exits 4 if its ``verification`` failed.
+document, writes it once, and exits 4 if its ``verification`` failed. An
+output int past the digit limit exits 3, in any format, naming its field.
 ``svg`` and ``replicate --figures`` share one builder, :func:`svg_json`: the
 figure's caption quotes the document's correlation and area-ratio display
 strings, and the SVG is drawn from that caption.
@@ -79,22 +80,22 @@ def _flatten(doc, prefix: str = "", rows: list | None = None) -> list[tuple[str,
 def _emit(args, text: Callable[[], str], doc: dict) -> None:
     """Write ``doc`` as JSON or CSV, or ``text()`` for the text format: only
     that format calls it."""
-    if args.format == "json":
-        try:
+    try:
+        if args.format == "json":
             payload = json.dumps(doc, indent=2) + "\n"
-        except ValueError:   # an int past str()'s digit limit: the CSV rows name its field
-            _flatten(doc)
-            raise
-    elif args.format == "csv":
-        out = io.StringIO()
-        writer = csv.writer(out, lineterminator="\n")
-        writer.writerow(["key", "value"])
-        writer.writerows(_flatten(doc))
-        payload = out.getvalue()
-    else:
-        payload = text()
-        if not payload.endswith("\n"):
-            payload += "\n"
+        elif args.format == "csv":
+            out = io.StringIO()
+            writer = csv.writer(out, lineterminator="\n")
+            writer.writerow(["key", "value"])
+            writer.writerows(_flatten(doc))
+            payload = out.getvalue()
+        else:
+            payload = text()
+            if not payload.endswith("\n"):
+                payload += "\n"
+    except ValueError:   # an int past str()'s digit limit, in any format: the CSV rows name it
+        _flatten(doc)
+        raise
     if args.out:
         Path(args.out).write_text(payload, encoding="utf-8")
         return
@@ -122,12 +123,12 @@ def cmd_analyze(args, ds: StratifiedTable, head: str):
     def text():
         corr, odds = doc["correlations"], doc["odds"]
         rows = [[c["stratum"], c["display"]] for c in corr["strata"]]
-        rows.append(["pooled", corr["pooled"]["display"]])
+        rows.append([pipeline.POOLED_LABEL, corr["pooled"]["display"]])
         if corr["flattened_ratio"] is not None:
             rows.append(["flattened composite", corr["flattened_ratio"]["display"]])
         blocks = [head, "Nominal correlation\n" + text_table(["stratum", "value"], rows)]
         rows = [[o["stratum"], pipeline.odds_text(o)] for o in odds["strata"]]
-        rows.append(["pooled", pipeline.odds_text(odds["pooled"])])
+        rows.append([pipeline.POOLED_LABEL, pipeline.odds_text(odds["pooled"])])
         blocks.append("Odds ratios\n" + text_table(["stratum", "odds ratio"], rows))
         rows = [row[1:] for row in pipeline.rate_rows(doc["rates"])]
         blocks.append("Incident rates per shift\n"
@@ -168,7 +169,7 @@ def cmd_binomial(args, table, head: str):
 
 def cmd_simpson(args, ds: StratifiedTable, head: str):
     doc = pipeline.simpson_json(simpson_check(ds))
-    odds = (*doc["stratum_odds"], {"stratum": "pooled", **doc["pooled_odds"]})
+    odds = (*doc["stratum_odds"], {"stratum": pipeline.POOLED_LABEL, **doc["pooled_odds"]})
     return doc, lambda: (
         f"{head}\n"
         + text_table(["stratum", "odds ratio", "side"],
@@ -293,67 +294,64 @@ def cmd_diff(args):
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The argument parser, built on the first call and shared after it:
-    ``parse_args`` returns a new namespace each time and leaves it unchanged."""
+    ``parse_args`` returns a new namespace each time and leaves it unchanged.
+    ``source`` and ``output`` are parent parsers: each option is declared once."""
     parser = argparse.ArgumentParser(
         prog=PROG,
         description="Exact inference and confounding audits on stratified 2x2 tables.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    source = argparse.ArgumentParser(add_help=False)
+    source.add_argument("--dataset", help="embedded dataset name "
+                        f"({', '.join(datasets.available())})")
+    source.add_argument("--input", help="path to a .json or .csv dataset file")
+    source.add_argument("--transpose", action="store_true",
+                        help="swap rows and columns of every stratum")
+    output = argparse.ArgumentParser(add_help=False)
+    output.add_argument("--format", choices=("text", "json", "csv"), default="text")
+    output.add_argument("--out", help="write output to this file instead of stdout")
 
-    def command(name, func, help_text, verb=None, lead=(), source=True):
-        """Add subcommand ``name``: the source options unless ``source`` is
-        false, the output options, the ``(flag, options)`` pairs of ``lead``,
-        and ``--stratum`` if ``verb`` says what the command does to one table."""
-        p = sub.add_parser(name, help=help_text)
-        if source:
-            p.add_argument("--dataset", help="embedded dataset name "
-                           f"({', '.join(datasets.available())})")
-            p.add_argument("--input", help="path to a .json or .csv dataset file")
-            p.add_argument("--transpose", action="store_true",
-                           help="swap rows and columns of every stratum")
-        p.add_argument("--format", choices=("text", "json", "csv"), default="text")
-        p.add_argument("--out", help="write output to this file instead of stdout")
-        for flag, options in lead:
-            p.add_argument(flag, **options)
-        if verb:
-            p.add_argument("--stratum", help=f"{verb} this stratum instead of the pooled table")
+    def command(name, func, help_text, *parents):
+        """Add subcommand ``name``: the options of ``parents``, then the output ones."""
+        p = sub.add_parser(name, help=help_text, parents=[*parents, output])
         p.set_defaults(func=func)
         return p
 
-    command("analyze", cmd_analyze, "correlations, odds ratios, and rates for one dataset")
+    command("analyze", cmd_analyze, "correlations, odds ratios, and rates for one dataset", source)
 
-    p = command("fisher", cmd_fisher, "exact upper tails with the post-hoc correction")
+    p = command("fisher", cmd_fisher, "exact upper tails with the post-hoc correction", source)
     p.add_argument("--mode", choices=("stratified", "collapsed"), default="stratified")
     p.add_argument("--nurses", type=int, default=datasets.DEFAULT_N_NURSES,
                    help="roster size for the post-hoc correction (default %(default)s)")
 
-    p = command("binomial", cmd_binomial, "draws-with-replacement tail model", "analyze")
+    p = command("binomial", cmd_binomial, "draws-with-replacement tail model", source)
+    p.add_argument("--stratum", help="analyze this stratum instead of the pooled table")
     p.add_argument("--tau", default="0.05", help="tail threshold for the crossing report, "
                    "read exactly, as 0.05, 1e-400 or 1/3 (default %(default)s)")
     p.add_argument("--k-min", type=int)
     p.add_argument("--k-max", type=int)
 
-    command("simpson", cmd_simpson, "Simpson-paradox check across strata")
+    command("simpson", cmd_simpson, "Simpson-paradox check across strata", source)
 
     p = command("replicate", cmd_replicate,
-                "run all analyses on the embedded datasets and verify reference values",
-                source=False)
+                "run all analyses on the embedded datasets and verify reference values")
     p.add_argument("--nurses", type=int, default=datasets.DEFAULT_N_NURSES,
                    help="roster size of every dataset's post-hoc correction "
                    "(default %(default)s)")
     p.add_argument("--figures", help="also write determinant SVG figures to this directory")
 
-    p = command("simulate", cmd_simulate, "seeded Monte Carlo check of a tail probability",
-                "simulate", lead=[("--model", {"choices": ("binomial", "hypergeometric"),
-                                               "default": "binomial"})])
+    p = command("simulate", cmd_simulate, "seeded Monte Carlo check of a tail probability", source)
+    p.add_argument("--model", choices=("binomial", "hypergeometric"), default="binomial")
+    p.add_argument("--stratum", help="simulate this stratum instead of the pooled table")
     p.add_argument("--trials", type=int, default=100_000)
     p.add_argument("--threshold", type=int, help="tail threshold k (default: observed count)")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--log", help="append model,seed,trials,k,estimate,stderr to this CSV file")
 
-    command("svg", cmd_svg, "determinant figure as a standalone SVG", "draw")
+    p = command("svg", cmd_svg, "determinant figure as a standalone SVG", source)
+    p.add_argument("--stratum", help="draw this stratum instead of the pooled table")
 
-    p = command("diff", cmd_diff, "cell-wise difference between two datasets", source=False)
+    p = command("diff", cmd_diff, "cell-wise difference between two datasets")
     p.add_argument("first", help="embedded dataset name or file path")
     p.add_argument("second", help="embedded dataset name or file path")
 

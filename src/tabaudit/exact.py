@@ -347,7 +347,9 @@ def _reduced(num: int, d: int, scale: int, m: int) -> tuple[int, int]:
     """(num // G, G) for G = gcd(num, scale), the part that ``num / scale``
     shares, for 0 < num < scale, where ``scale`` is a power of ``d`` and m a
     power of ``d`` from ``d`` up to ``scale``; ``tail_table`` passes the
-    largest power of ``d`` that fits one int digit.
+    largest power of ``d`` that fits one int digit, capped at ``scale``. Such a
+    ``num`` needs scale > 1, so n >= 1 and m <= scale: at n = 0 the scale is
+    1, which m = d passes, but no row lies strictly between 0 and 1.
 
     Every prime of G divides ``d``. Each pass divides ``num`` by g =
     gcd(num % m, m), which holds each prime p of ``d`` as often as ``num`` or
@@ -403,7 +405,9 @@ def tail_table(params: BinomialParams, k_min: int, k_max: int) -> TailTable:
         raise SupportError(f"threshold range [{k_min}, {k_max}] outside [0, {n + 1}]")
     d = params.rate.denominator
     scale = d**n
-    m = min(d, scale)   # 1 at d = 1 or n = 0, where every row is 0 or 1
+    # m = d <= scale = d**n unless n = 0. The scale is 1 only at d = 1 or
+    # n = 0, where every row is 0 or 1 and _reduced is never called
+    m = d
     while m < scale and m * d < 1 << sys.int_info.bits_per_digit:
         m *= d
     # T at rate 1 - u/d runs T(n), T(n-1), ..., T(0), from u**n down

@@ -374,8 +374,13 @@ class TestTailTable:
         assert [binomial_upper_tail(params, k) for k in (0, 1, 2**63 - 1, 2**63)] == [1, 0, 0, 0]
         assert [row.exact for row in tail_table(params, 0, 2).rows] == [1, 0, 0]
 
-    @pytest.mark.parametrize("k_min", [0, 8])
-    def test_negative_term_refused_where_the_rows_are_built(self, k_min, monkeypatch):
+    # at rate 1/3 the negated term x = 1 takes a row outside [0, 1]; at rates
+    # 1/100 (summing up) and 99/100 (summing down) the row stays inside it,
+    # but above the row before it, so only the order check refuses it
+    @pytest.mark.parametrize("rate, k_min", [
+        (Fraction(1, 3), 0), (Fraction(1, 3), 8), (Fraction(1, 100), 0), (Fraction(99, 100), 8),
+    ], ids=["0", "8", "in-range-up", "in-range-down"])
+    def test_negative_term_refused_where_the_rows_are_built(self, rate, k_min, monkeypatch):
         # tail_table checks its own rows, up from x = 0 (k_min 0) or down from
         # x = n (k_min 8), so a term that breaks the order raises, not a table
         numerators = exact._numerators
@@ -386,7 +391,7 @@ class TestTailTable:
 
         monkeypatch.setattr(exact, "_numerators", one_negative)
         with pytest.raises(ValueError, match="tail at .* outside \\[0, 1\\] or out of order"):
-            tail_table(BinomialParams(10, Fraction(1, 3)), k_min, 11)
+            tail_table(BinomialParams(10, rate), k_min, 11)
 
 
 @st.composite
