@@ -9,8 +9,9 @@ argument parser, whose source and output options are each declared once in a
 parent parser, is built once per process and shared by every ``main`` call.
 
 ``main`` is the one path from input to output. It loads the dataset and, for
-binomial, simulate and svg, the ``--stratum`` or pooled table, and passes it
-with the text head (``dataset: NAME`` or ``dataset: NAME (TABLE)``) to
+binomial, simulate and svg, the ``--stratum`` table or, by default or as
+``--stratum All``, the pooled one. It passes that input with the text head
+(``dataset: NAME`` or ``dataset: NAME (TABLE)``) to
 ``cmd_NAME(args, input, head)``; ``replicate`` and ``diff`` take only ``args``.
 Each returns ``(doc, text)``: its JSON document and a function that renders
 its text from that document alone, so every number is written once, by the
@@ -372,7 +373,8 @@ def main(argv=None) -> int:
             first, head, source = {"dataset": ds.name}, f"dataset: {ds.name or '(unnamed)'}", ds
             if "stratum" in args:   # binomial, simulate and svg read one table
                 label = pipeline.POOLED_LABEL if args.stratum is None else args.stratum
-                source = collapse(ds) if args.stratum is None else dict(ds.strata).get(label)
+                source = (collapse(ds) if label == pipeline.POOLED_LABEL
+                          else dict(ds.strata).get(label))
                 if source is None:
                     raise CliInputError(
                         f"stratum {label!r} not in dataset (has: {', '.join(ds.labels)})")

@@ -109,7 +109,7 @@ from functools import cached_property
 from itertools import islice
 from math import comb, gcd
 
-from .render import fraction_text
+from .render import fraction_text, shown
 from .tables import Table2x2
 
 
@@ -220,9 +220,9 @@ def _drawn_first(population: int, draws: int, successes: int) -> tuple[int, int]
     refuses to take as its count of factors."""
     drawn, marked = min(draws, population - draws), min(successes, population - successes)
     if min(drawn, marked) > sys.maxsize:
-        raise ValueError(f"margins draws {draws} and successes {successes} of population "
-                         f"{population}: each margin m has min(m, population - m) past "
-                         f"math.comb's limit of {sys.maxsize}")
+        raise ValueError(f"margins draws {shown(draws)} and successes {shown(successes)} of "
+                         f"population {shown(population)}: each margin m has "
+                         f"min(m, population - m) past math.comb's limit of {sys.maxsize}")
     if marked < drawn:
         return successes, draws
     return draws, successes
@@ -399,7 +399,7 @@ def tail_table(params: BinomialParams, k_min: int, k_max: int) -> TailTable:
     k_min, k_max = _as_int(k_min, "k_min"), _as_int(k_max, "k_max")
     n = params.draws
     if n > sys.maxsize:   # refused before d**n, which need not finish
-        raise ValueError(f"draws {n} past {sys.maxsize} (sys.maxsize), "
+        raise ValueError(f"draws {shown(n)} past {sys.maxsize} (sys.maxsize), "
                          "the most an exact binomial tail takes")
     if not 0 <= k_min <= k_max <= n + 1:
         raise SupportError(f"threshold range [{k_min}, {k_max}] outside [0, {n + 1}]")

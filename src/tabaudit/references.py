@@ -16,6 +16,7 @@ from fractions import Fraction
 
 from .association import POOLED_LABEL
 from .exact import _as_number
+from .render import shown
 
 REL_TOL = 1e-4
 
@@ -144,14 +145,6 @@ def _checks() -> list[Check]:
 REFERENCE_CHECKS: tuple[Check, ...] = tuple(_checks())
 
 
-def _shown(value) -> str:
-    """``repr(value)``, or the size of an int whose digits ``repr`` refuses to write."""
-    try:
-        return repr(value)
-    except ValueError:   # an int past the interpreter's int-to-str digit limit
-        return f"<{value.bit_length()}-bit int>"
-
-
 def check_report_json(doc: dict) -> list[str]:
     """Compare a report JSON document against the stored reference values.
 
@@ -180,9 +173,9 @@ def check_report_json(doc: dict) -> list[str]:
             else:
                 ok = got is check.expected
         except (TypeError, OverflowError):   # not a number, or an int past the float range
-            failures.append(f"{check.key}: got {_shown(raw)} of type {type(raw).__name__}, "
+            failures.append(f"{check.key}: got {shown(raw)} of type {type(raw).__name__}, "
                             f"want {check.expected!r}")
             continue
         if not ok:
-            failures.append(f"{check.key}: got {_shown(raw)}, want {check.expected!r}")
+            failures.append(f"{check.key}: got {shown(raw)}, want {check.expected!r}")
     return failures

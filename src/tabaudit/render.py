@@ -49,6 +49,15 @@ def fraction_text(num: int, den: int) -> str:
         return str(Decimal(num)) if den == 1 else f"{Decimal(num)}/{Decimal(den)}"
 
 
+def shown(value) -> str:
+    """``repr(value)``, or the size of an int whose digits ``repr`` refuses to
+    write: the one writer of a value that a message quotes."""
+    try:
+        return repr(value)
+    except ValueError:   # an int past the interpreter's int-to-str digit limit
+        return f"<{value.bit_length()}-bit int>"
+
+
 def int_json(value: int, field: str) -> int:
     """``value``, or ``ValueError`` naming ``field`` where it has more digits
     than ``sys.get_int_max_str_digits()`` lets ``str`` write: the one check

@@ -65,7 +65,7 @@ from pathlib import Path
 from typing import Sequence
 
 from .exact import BinomialParams, _as_int, _as_number, _as_rate, _margins
-from .render import fraction_text
+from .render import fraction_text, shown
 
 BLOCK_TRIALS = 1 << 16
 #: The most items (the smaller hypergeometric margin) drawn as an urn; numpy's
@@ -210,14 +210,14 @@ class SimulationSpec:
         if self.model == "binomial":
             BinomialParams(self.draws, self.rate)
             if self.draws >= 1 << 63:
-                raise ValueError(f"draws {self.draws} must be below 2**63 "
+                raise ValueError(f"draws {shown(self.draws)} must be below 2**63 "
                                  "for numpy's binomial sampler")
         else:
             _margins(self.population, self.draws, self.successes)
             if max(self.successes, self.population - self.successes) >= 10**9:
-                raise ValueError(f"successes {self.successes} and population - successes "
-                                 f"{self.population - self.successes} must each be below 10**9 "
-                                 "for numpy's hypergeometric sampler")
+                raise ValueError(f"successes {shown(self.successes)} and population - "
+                                 f"successes {shown(self.population - self.successes)} must each "
+                                 "be below 10**9 for numpy's hypergeometric sampler")
 
     def to_json_dict(self) -> dict:
         doc = {"model": self.model, "trials": self.trials, "seed": self.seed,

@@ -19,6 +19,9 @@ from hypothesis import strategies as st
 from conftest import stratified_tables, to_csv_text
 from tabaudit import datasets, pipeline
 from tabaudit.cli import PROG, build_parser, main
+from tabaudit.exact import hypergeom_upper_tail
+from tabaudit.render import exact_json
+from tabaudit.simulate import URN_ITEMS
 from tabaudit.tables import StratifiedTable, Table2x2
 
 
@@ -453,14 +456,22 @@ class TestSimulate:
         assert log.read_text().startswith("model,seed,trials,k,estimate,stderr")
 
     def test_hypergeometric_stratum(self, capsys):
-        code, out, _ = run_cli(capsys, "simulate", "--dataset", "original",
-                               "--stratum", "RKZ2", "--model", "hypergeometric",
-                               "--threshold", "5", "--trials", "2000", "--seed", "1",
-                               "--format", "json")
-        assert code == 0
-        doc = json.loads(out)
-        assert doc["spec"]["population"] == 339
-        assert doc["exact"]["display"] == "0.0715592"
+        # RKZ2's 14 incident shifts are drawn as an urn, the pooled table's 27,
+        # past URN_ITEMS, by numpy's sampler
+        for extra, population, display in [
+            (("--stratum", "RKZ2", "--threshold", "5"), 339, "0.0715592"),
+            ((), 1734, "2.61756e-07"),
+        ]:
+            code, out, _ = run_cli(capsys, "simulate", "--dataset", "original", *extra,
+                                   "--model", "hypergeometric", "--trials", "2000",
+                                   "--seed", "1", "--format", "json")
+            assert code == 0
+            doc = json.loads(out)
+            spec = doc["spec"]
+            assert (spec["population"], doc["exact"]["display"]) == (population, display)
+            assert doc["exact"] == exact_json(hypergeom_upper_tail(
+                population, spec["draws"], spec["successes"], doc["threshold"]))
+        assert spec["successes"] > URN_ITEMS
 
     def test_binomial_threshold_above_draws(self, capsys):
         # derksen pooled: 203 draws, so no trial reaches 500 and the exact tail is 0
@@ -629,12 +640,16 @@ class TestEntryPoint:
         assert proc.returncode == 0
         assert "paradox: true" in proc.stdout
 
-    @pytest.mark.parametrize("to_file", [True, False], ids=["out", "stdout"])
-    def test_output_under_an_ascii_locale(self, tmp_path, to_file):
+    @pytest.mark.parametrize("label, to_file", [
+        ("W\u00e4rd", True), ("W\u00e4rd", False), ("\ufeffJKZ", False),
+    ], ids=["out", "stdout", "bom"])
+    def test_output_under_an_ascii_locale(self, tmp_path, label, to_file):
         # --out is UTF-8 whatever the locale; a stdout that cannot encode the
-        # output is an output error, named with its encoding
+        # output is an output error, named with its encoding. A leading
+        # byte-order mark, as Excel's "CSV UTF-8" writes, is no part of the
+        # first label, so that label reaches an ASCII stdout
         source, out = tmp_path / "zu.csv", tmp_path / "f.csv"
-        source.write_text("W\u00e4rd,8,134,0,887\n", encoding="utf-8")
+        source.write_text(f"{label},8,134,0,887\n", encoding="utf-8")
         argv = ["analyze", "--input", str(source), "--format", "csv"]
         env = {**os.environ, "LC_ALL": "C", "PYTHONCOERCECLOCALE": "0", "PYTHONUTF8": "0"}
         proc = subprocess.run([sys.executable, "-m", "tabaudit", *argv,
@@ -643,9 +658,44 @@ class TestEntryPoint:
         if to_file:
             assert (proc.returncode, proc.stderr) == (0, b"")
             assert "correlations.strata[0].stratum,W\u00e4rd\n" in out.read_text(encoding="utf-8")
+        elif label.startswith("\ufeff"):
+            assert (proc.returncode, proc.stderr) == (0, b"")
+            assert b"correlations.strata[0].stratum,JKZ\n" in proc.stdout
         else:
             assert (proc.returncode, proc.stdout) == (2, b"")
             assert proc.stderr.startswith(b"error: stdout's encoding, ascii, cannot write")
+
+    @pytest.mark.parametrize("fmt", ["text", "json", "csv"])
+    @pytest.mark.parametrize("command", ["binomial", "simulate", "svg"])
+    def test_stratum_all_is_the_pooled_table(self, capsys, command, fmt):
+        # every output names the pooled table All, so --stratum All selects it
+        argv = [command, "--dataset", "shops", "--format", fmt,
+                *(["--trials", "2000"] if command == "simulate" else [])]
+        pooled = run_cli(capsys, *argv)
+        assert pooled[0] == 0
+        assert run_cli(capsys, *argv, "--stratum", "All") == pooled
+
+    # S0,<4 300 nines>,3,4,<4 300 nines>: the counts read, but the margins
+    # (10**4300 + 2 and more, 14 285 bits) do not write; each refusal names
+    # them by size
+    @pytest.mark.parametrize("fmt", ["text", "json"])
+    @pytest.mark.parametrize("argv, message", [
+        (["fisher"], "margins draws <14285-bit int> and successes <14285-bit int> of population "
+                     "<14286-bit int>: each margin m has min(m, population - m) past "
+                     f"math.comb's limit of {sys.maxsize}"),
+        (["binomial"], f"draws <14285-bit int> past {sys.maxsize} (sys.maxsize), "
+                       "the most an exact binomial tail takes"),
+        (["simulate"], "draws <14285-bit int> must be below 2**63 for numpy's binomial sampler"),
+        (["simulate", "--model", "hypergeometric"],
+         "successes <14285-bit int> and population - successes <14285-bit int> must each be "
+         "below 10**9 for numpy's hypergeometric sampler"),
+    ], ids=["fisher", "binomial", "simulate", "simulate-hypergeometric"])
+    def test_refused_int_past_the_digit_limit(self, capsys, tmp_path, digit_limit, argv,
+                                              message, fmt):
+        path = tmp_path / "nines.csv"
+        path.write_text(f"S0,{'9' * 4300},3,4,{'9' * 4300}\n")
+        code, out, err = run_cli(capsys, *argv, "--input", str(path), "--format", fmt)
+        assert (code, out, err) == (3, "", f"error: {message}\n")
 
     def test_exact_paths_do_not_import_numpy(self):
         code = ("import contextlib, io, sys, tabaudit\n"
@@ -705,11 +755,18 @@ _TAU_TEXTS = ("0.05", "1", "0", "1/3", "1e-400", "1e-4300", "0.30000000000000001
 
 @st.composite
 def _source_bytes(draw, suffix: str) -> bytes:
-    """A dataset file: valid, corrupted, undecodable, or one all-zero table."""
-    kind = draw(st.sampled_from(["valid", "corrupted", "undecodable", "zero"]))
+    """A dataset file: one table with 4 300-digit counts in cell a alone or
+    in cells a and d, which read while their sums do not write; valid,
+    corrupted, undecodable, or one all-zero table. The digit kinds come
+    first, where hypothesis draws most often."""
+    kind = draw(st.sampled_from(["a", "ad", "valid", "corrupted", "undecodable", "zero"]))
     ds = draw(stratified_tables(max_strata=3))
     if kind == "zero":
         ds = StratifiedTable((("w", Table2x2(0, 0, 0, 0)),), name="zero")
+    elif kind in ("a", "ad"):   # one table with small margins: fisher's terms stay few
+        nines = 10**4300 - 1
+        t = Table2x2(nines, 1, 1, nines if kind == "ad" else 1)
+        ds = StratifiedTable((("S0", t),), name="nines")
     text = to_csv_text(ds) if suffix == ".csv" else json.dumps(datasets.to_json_dict(ds))
     data = text.encode()
     at = draw(st.integers(0, len(data)))
@@ -742,11 +799,17 @@ def _invocations(draw, root: Path):
         "figures": st.sampled_from([str(root / "figures"), str(source)]),
         "trials": st.integers(-2, 3000).map(str),
     }
+    # the source options in one draw, with --input alone, which reads the
+    # drawn file, first, where hypothesis draws most often
+    sources = draw(st.sampled_from([{"input"}, {"dataset"}, {"dataset", "input"}, set()]))
     argv = [command]
     for action in _SUBCOMMANDS[command]._actions:
         if isinstance(action, argparse._HelpAction):
             continue
-        if action.option_strings and not draw(st.booleans()):
+        if action.dest in ("dataset", "input"):
+            if action.dest not in sources:
+                continue
+        elif action.option_strings and not draw(st.booleans()):
             continue
         if action.nargs == 0:
             argv.append(action.option_strings[0])
