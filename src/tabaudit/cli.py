@@ -258,23 +258,8 @@ def cmd_diff(args):
     first = _resolve_named(args.first)
     second = _resolve_named(args.second)
     delta = diff(first, second)
-    doc = {
-        "first": first.name,
-        "second": second.name,
-        "strata": [
-            {
-                "stratum": d.label,
-                "cells": [list(d.cells[0]), list(d.cells[1])],
-                "row_sums": list(d.row_sums),
-                "col_sums": list(d.col_sums),
-                "total": d.total,
-            }
-            for d in delta.strata
-        ],
-        "suspect_incident_delta": delta.suspect_incident_delta,
-        "other_incident_delta": delta.other_incident_delta,
-        "total_delta": delta.total_delta,
-    }
+    doc = {"first": first.name, "second": second.name,
+           **vars(delta), "strata": [d._asdict() for d in delta.strata]}
 
     def text():
         rows = [[s["stratum"], *(str(n) for row in s["cells"] for n in row), str(s["total"])]

@@ -31,6 +31,7 @@ import sys
 from pathlib import Path
 from typing import Mapping
 
+from .render import too_many_digits
 from .tables import StratifiedTable, Table2x2
 
 
@@ -160,12 +161,6 @@ def _read_text(path: Path) -> str:
         raise DatasetFormatError(f"{path}: not UTF-8 at byte {exc.start} ({exc.reason})") from None
 
 
-def _too_many_digits(where: str) -> DatasetFormatError:
-    """The error for an integer past the interpreter's limit on reading one from text."""
-    return DatasetFormatError(f"{where}: an integer has more than {sys.get_int_max_str_digits()} "
-                              "digits, the limit of sys.get_int_max_str_digits()")
-
-
 def load_json(path: str | Path) -> StratifiedTable:
     path = Path(path)
     text = _read_text(path)
@@ -176,7 +171,7 @@ def load_json(path: str | Path) -> StratifiedTable:
     except RecursionError:   # the decoder recurses once per nested array or object
         raise DatasetFormatError(f"{path}: invalid JSON: nested too deeply") from None
     except ValueError:   # the one other failure: int() refusing a number's digits
-        raise _too_many_digits(str(path)) from None
+        raise DatasetFormatError(too_many_digits(str(path))) from None
     return from_json_dict(doc, source=str(path))
 
 
@@ -205,7 +200,7 @@ def from_csv_text(text: str, name: str = "", source: str = "<csv>") -> Stratifie
         except ValueError:
             limit = sys.get_int_max_str_digits()
             if limit and any(sum(map(str.isdigit, cell)) > limit for cell in row[1:]):
-                raise _too_many_digits(f"{source}:{lineno}") from None
+                raise DatasetFormatError(too_many_digits(f"{source}:{lineno}")) from None
             raise DatasetFormatError(
                 f"{source}:{lineno}: counts must be integers, got {row[1:]}") from None
         strata.append((label, Table2x2(a, b, c, d)))

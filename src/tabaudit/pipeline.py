@@ -221,7 +221,10 @@ def replicate(
 
 
 # ---------------------------------------------------------------------------
-# serialization: one JSON builder per result type, for report and CLI alike
+# serialization: one JSON builder per result type, for report and CLI alike.
+# Where a document's keys are its record's fields, in order, the builder starts
+# from ``vars(record)`` and rewrites only the values that need a JSON form, so
+# a field added to the record reaches every format with no second edit.
 
 def per_stratum_json(pairs, to_json) -> list[dict]:
     """``[{"stratum": label, **to_json(value)}, ...]`` for ``(label, value)`` pairs."""
@@ -253,13 +256,10 @@ def odds_json(o) -> dict:
 
 
 def simpson_json(verdict: SimpsonVerdict) -> dict:
-    return {
-        "stratum_odds": per_stratum_json(verdict.stratum_odds, odds_json),
-        "pooled_odds": odds_json(verdict.pooled_odds),
-        "directions": dict(verdict.directions),
-        "paradox": verdict.paradox,
-        "note": verdict.note,
-    }
+    return {**vars(verdict),
+            "stratum_odds": per_stratum_json(verdict.stratum_odds, odds_json),
+            "pooled_odds": odds_json(verdict.pooled_odds),
+            "directions": dict(verdict.directions)}
 
 
 def fisher_json(r: FisherPipelineResult) -> dict:
@@ -277,8 +277,7 @@ def fisher_json(r: FisherPipelineResult) -> dict:
 
 def rates_json(rates: RateTable) -> dict:
     def entry(e) -> dict:
-        return {"dataset": e.dataset, "stratum": e.stratum, "group": e.group,
-                "incidents": e.incidents, "shifts": e.shifts, "rate": exact_json(e.rate)}
+        return {**vars(e), "rate": exact_json(e.rate)}
 
     return {"strata": [entry(e) for e in rates.entries],
             "pooled": [entry(e) for e in rates.pooled]}

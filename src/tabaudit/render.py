@@ -58,16 +58,22 @@ def shown(value) -> str:
         return f"<{value.bit_length()}-bit int>"
 
 
+def too_many_digits(where: str) -> str:
+    """The message for an int at ``where`` past the interpreter's int-to-str
+    digit limit: one wording for input (:mod:`datasets`) and output
+    (:func:`int_json`)."""
+    return (f"{where}: an integer has more than {sys.get_int_max_str_digits()} digits, "
+            "the limit of sys.get_int_max_str_digits()")
+
+
 def int_json(value: int, field: str) -> int:
     """``value``, or ``ValueError`` naming ``field`` where it has more digits
     than ``sys.get_int_max_str_digits()`` lets ``str`` write: the one check
-    of an int that a document carries bare, worded as :mod:`datasets` words
-    that limit for input."""
+    of an int that a document carries bare."""
     limit = sys.get_int_max_str_digits()
     # below 2**(3 * limit), and so below 10**limit, no power of 10 is built
     if limit and value.bit_length() > 3 * limit and abs(value) >= 10**limit:
-        raise ValueError(f"{field}: an integer has more than {limit} digits, "
-                         "the limit of sys.get_int_max_str_digits()")
+        raise ValueError(too_many_digits(field))
     return value
 
 

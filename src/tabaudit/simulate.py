@@ -169,7 +169,8 @@ def _sum_lanes(count, lanes, workers: int) -> int:
 
 
 #: The parameters each model reads besides trials, seed and draws. A spec
-#: refuses the other models' fields, so its JSON lists only what was simulated.
+#: refuses the other models' fields, which stay None, so its JSON (every field
+#: that is not None, in field order) lists only what was simulated.
 MODEL_FIELDS: dict[str, tuple[str, ...]] = {
     "binomial": ("rate",),
     "hypergeometric": ("population", "successes"),
@@ -220,12 +221,8 @@ class SimulationSpec:
                                  "be below 10**9 for numpy's hypergeometric sampler")
 
     def to_json_dict(self) -> dict:
-        doc = {"model": self.model, "trials": self.trials, "seed": self.seed,
-               "draws": self.draws}
-        for field in MODEL_FIELDS[self.model]:
-            value = getattr(self, field)
-            doc[field] = fraction_text(*value.as_integer_ratio()) if field == "rate" else value
-        return doc
+        return {field: fraction_text(*value.as_integer_ratio()) if field == "rate" else value
+                for field, value in vars(self).items() if value is not None}
 
 
 @dataclass(frozen=True)

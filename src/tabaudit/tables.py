@@ -36,9 +36,15 @@ def _as_count(value, where: str) -> int:
     return n
 
 
+def _as_label(value, where: str) -> str:
+    if not isinstance(value, str):
+        raise TableValidationError(f"{where}: {value!r} is not a string")
+    return value
+
+
 def _as_label_pair(value, where: str) -> tuple[str, str]:
     # a bare string is not a pair: "VO" would split into ("V", "O")
-    pair = () if isinstance(value, str) else tuple(str(x) for x in value)
+    pair = () if isinstance(value, str) else tuple(_as_label(x, where) for x in value)
     if len(pair) != 2:
         raise TableValidationError(f"{where}: expected exactly two labels, got {value!r}")
     return pair
@@ -109,7 +115,7 @@ class StratifiedTable:
     name: str = ""
 
     def __post_init__(self):
-        strata = tuple((str(label), table) for label, table in self.strata)
+        strata = tuple((_as_label(label, "stratum label"), table) for label, table in self.strata)
         if not strata:
             raise TableValidationError("a stratified table needs at least one stratum")
         first = strata[0][1]
@@ -127,7 +133,7 @@ class StratifiedTable:
                     f"stratum {label!r} labels {table.row_labels}/{table.col_labels} differ "
                     f"from {first.row_labels}/{first.col_labels}")
         object.__setattr__(self, "strata", strata)
-        object.__setattr__(self, "name", str(self.name))
+        _as_label(self.name, "name")
 
     @property
     def labels(self) -> tuple[str, ...]:
@@ -180,7 +186,7 @@ def collapse(s: StratifiedTable) -> Table2x2:
 
 
 class StratumDelta(NamedTuple):
-    label: str
+    stratum: str
     cells: tuple[tuple[int, int], tuple[int, int]]       # b - a, per cell
     row_sums: tuple[int, int]
     col_sums: tuple[int, int]
@@ -211,7 +217,7 @@ def diff(a: StratifiedTable, b: StratifiedTable) -> DatasetDiff:
     for (label, ta), (_, tb) in zip(a.strata, b.strata):
         cells = ((tb.a - ta.a, tb.b - ta.b), (tb.c - ta.c, tb.d - ta.d))
         deltas.append(StratumDelta(
-            label=label,
+            stratum=label,
             cells=cells,
             row_sums=(tb.row1 - ta.row1, tb.row2 - ta.row2),
             col_sums=(tb.col1 - ta.col1, tb.col2 - ta.col2),

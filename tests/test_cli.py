@@ -10,6 +10,7 @@ import json
 import os
 import subprocess
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 import pytest
@@ -18,11 +19,12 @@ from hypothesis import strategies as st
 
 from conftest import stratified_tables, to_csv_text
 from tabaudit import datasets, pipeline
+from tabaudit.association import RateEntry
 from tabaudit.cli import PROG, build_parser, main
 from tabaudit.exact import hypergeom_upper_tail
 from tabaudit.render import exact_json
 from tabaudit.simulate import URN_ITEMS
-from tabaudit.tables import StratifiedTable, Table2x2
+from tabaudit.tables import StratifiedTable, StratumDelta, Table2x2
 
 
 @pytest.fixture
@@ -621,6 +623,20 @@ class TestDiff:
         assert (code, out) == (3, "")
         assert err == (f"error: strata[0].row_sums[0]: an integer has more than {digit_limit} "
                        "digits, the limit of sys.get_int_max_str_digits()\n")
+
+
+def test_document_keys_are_the_record_fields(capsys):
+    # a diff stratum and a rate entry are written from their records, so a
+    # field added to the record reaches every format with no second list
+    code, out, _ = run_cli(capsys, "diff", "original", "derksen", "--format", "json")
+    assert code == 0
+    assert [list(s) for s in json.loads(out)["strata"]] == [list(StratumDelta._fields)] * 3
+    code, out, _ = run_cli(capsys, "replicate", "--format", "json")
+    assert code == 0
+    rates = json.loads(out)["rates"]
+    entries = [*rates["strata"], *rates["pooled"]]
+    assert entries
+    assert all(list(e) == [f.name for f in fields(RateEntry)] for e in entries)
 
 
 class TestEntryPoint:

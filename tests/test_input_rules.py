@@ -12,7 +12,7 @@ from tabaudit import datasets, exact
 from tabaudit.exact import HypergeomParams, hypergeom_upper_tail
 from tabaudit.pipeline import fisher_pipeline, replicate
 from tabaudit.simulate import SimulationSpec, simulate_heterogeneous, simulate_tail
-from tabaudit.tables import Table2x2, TableValidationError
+from tabaudit.tables import StratifiedTable, Table2x2, TableValidationError
 
 BINOMIAL = {"model": "binomial", "trials": 100, "seed": 0, "draws": 10, "rate": "1/3"}
 
@@ -83,6 +83,26 @@ def test_bare_string_is_not_a_label_pair(field):
                        match=f"^{field}: expected exactly two labels, got 'VO'$"):
         Table2x2(1, 2, 3, 4, **{field: "VO"})
     assert getattr(Table2x2(1, 2, 3, 4, **{field: ["V", "O"]}), field) == ("V", "O")
+
+
+TABLE = Table2x2(1, 2, 3, 4)
+
+
+@pytest.mark.parametrize("build, message", [
+    (lambda: Table2x2(1, 2, 3, 4, row_labels=(1, 2)), "row_labels: 1 is not a string"),
+    (lambda: Table2x2(1, 2, 3, 4, col_labels=("Incident", None)),
+     "col_labels: None is not a string"),
+    (lambda: StratifiedTable(((1, TABLE), (True, TABLE))), "stratum label: 1 is not a string"),
+    (lambda: StratifiedTable((("S0", TABLE), (True, TABLE))),
+     "stratum label: True is not a string"),
+    (lambda: StratifiedTable((("S0", TABLE),), name=None), "name: None is not a string"),
+], ids=["row-label-int", "col-label-none", "stratum-label-int", "stratum-label-bool",
+        "name-none"])
+def test_a_label_or_name_is_a_string(build, message):
+    # str() would make the labels ('1', 'True') and the name 'None': values
+    # that no caller gave
+    with pytest.raises(TableValidationError, match=f"^{message}$"):
+        build()
 
 
 @pytest.mark.parametrize("names", [["shops", "shops"], ["original", "shops", "original"]])

@@ -151,7 +151,7 @@ class TestDiff:
     def test_original_to_derksen_jkz_incidents(self):
         delta = diff(ORIGINAL, DERKSEN)
         jkz = delta.strata[0]
-        assert jkz.label == "JKZ"
+        assert jkz.stratum == "JKZ"
         assert jkz.cells[0][0] == -4
 
     def test_self_diff_is_zero(self):
