@@ -35,13 +35,11 @@ from .pipeline import (
 from .simulate import SimulationResult, SimulationSpec, simulate_heterogeneous, simulate_tail
 from .tables import (
     DatasetDiff,
-    MarginSummary,
     StratifiedTable,
     Table2x2,
     TableValidationError,
     collapse,
     diff,
-    margins,
 )
 
 __version__ = "0.1.0"
@@ -57,7 +55,6 @@ __all__ = [
     "FigureModel",
     "FisherPipelineResult",
     "HypergeomParams",
-    "MarginSummary",
     "NominalCorrelationResult",
     "OddsRatioValue",
     "RateTable",
@@ -81,7 +78,6 @@ __all__ = [
     "flattened_volume_ratio",
     "hypergeom_pmf",
     "hypergeom_upper_tail",
-    "margins",
     "nominal_correlation",
     "odds_ratio",
     "rate_table",

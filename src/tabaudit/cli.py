@@ -8,17 +8,18 @@ output error, 3 analysis/validation error, 4 replication mismatch. The
 argument parser, whose source and output options are each declared once in a
 parent parser, is built once per process and shared by every ``main`` call.
 
-``main`` is the one path from input to output. It loads the dataset and, for
-binomial, simulate and svg, the ``--stratum`` table or, by default or as
-``--stratum All``, the pooled one. It passes that input with the text head
-(``dataset: NAME`` or ``dataset: NAME (TABLE)``) to
-``cmd_NAME(args, input, head)``; ``replicate`` and ``diff`` take only ``args``.
-Each returns ``(doc, text)``: its JSON document and a function that renders
-its text from that document alone, so every number is written once, by the
-document's builder, and reads the same in every format; only ``--format
-text`` calls it. ``main`` puts ``"dataset"`` and ``"table"`` first in the
-document, writes it once, and exits 4 if its ``verification`` failed. An
-output int past the digit limit exits 3, in any format, naming its field.
+``main`` is the one path from input to output. The subcommand's reader loads
+its tables: the ``--dataset`` or ``--input`` source (for binomial, simulate and
+svg, its ``--stratum`` table, or the pooled one by default or as ``--stratum
+All``), replicate's embedded registry, or diff's two operands in order. It
+returns the leading keys of the document, the text head and the tables, which
+go to ``cmd_NAME(args, tables, head)``. That returns ``(doc, text)``: the JSON
+document and a function that renders its text from the document alone, so
+every number is written once and reads the same in every format; only
+``--format text`` calls it. ``main`` then checks ``replicate``'s document
+against the reference values, as a step of its own, puts the leading keys
+first, writes the document once, and exits 4 if a check failed. An output int
+past the digit limit exits 3, in any format, naming its field.
 ``svg`` and ``replicate --figures`` share one builder, :func:`svg_json`: the
 figure's caption quotes the document's correlation and area-ratio display
 strings, and the SVG is drawn from that caption.
@@ -108,7 +109,35 @@ def _emit(args, text: Callable[[], str], doc: dict) -> None:
 
 
 # ---------------------------------------------------------------------------
-# subcommands: each returns (doc, text)
+# readers return (leading keys, text head, tables); subcommands take
+# (args, tables, head) and return (doc, text)
+
+def _read_source(args):
+    if bool(args.dataset) == bool(args.input):
+        raise CliInputError("exactly one of --dataset or --input is required")
+    ds = datasets.get(args.dataset) if args.dataset else datasets.load_path(args.input)
+    if args.transpose:
+        ds = ds.transpose()
+    lead, head = {"dataset": ds.name}, f"dataset: {ds.name or '(unnamed)'}"
+    if "stratum" not in args:   # only binomial, simulate and svg read one table
+        return lead, head, ds
+    label = pipeline.POOLED_LABEL if args.stratum is None else args.stratum
+    if label not in (pipeline.POOLED_LABEL, *ds.labels):
+        raise CliInputError(f"stratum {label!r} not in dataset (has: {', '.join(ds.labels)})")
+    table = collapse(ds) if label == pipeline.POOLED_LABEL else ds.get(label)
+    return {**lead, "table": label}, f"{head} ({label})", table
+
+
+def _read_operands(args):
+    pair = []
+    for name in (args.first, args.second):   # the first is read, or refused, first
+        if name not in datasets.EMBEDDED and not Path(name).exists():
+            raise CliInputError(f"{name!r} is neither an embedded dataset nor an existing file")
+        pair.append(datasets.get(name) if name in datasets.EMBEDDED else datasets.load_path(name))
+    first, second = pair
+    return ({"first": first.name, "second": second.name},
+            f"diff: {first.name or args.first} -> {second.name or args.second}", pair)
+
 
 def cmd_analyze(args, ds: StratifiedTable, head: str):
     doc = {
@@ -180,20 +209,19 @@ def cmd_simpson(args, ds: StratifiedTable, head: str):
     )
 
 
-def cmd_replicate(args):
-    doc = pipeline.report_json(pipeline.replicate(n_nurses=args.nurses))
-    failures = references.check_report_json(doc)
-    doc["verification"] = {"passed": not failures, "failures": failures}
+def cmd_replicate(args, registry, head: str):
+    doc = pipeline.report_json(pipeline.replicate(registry=registry, n_nurses=args.nurses))
 
     if args.figures:
         fig_dir = Path(args.figures)
         fig_dir.mkdir(parents=True, exist_ok=True)
         for name in doc["datasets"]:
-            (fig_dir / f"{name}.svg").write_text(svg_json(collapse(datasets.get(name)))["svg"])
+            (fig_dir / f"{name}.svg").write_text(svg_json(collapse(registry[name]))["svg"])
 
-    summary = ("all replication checks passed"
-               if not failures else "REPLICATION MISMATCH:\n  " + "\n  ".join(failures))
-    return doc, lambda: pipeline.report_text(doc) + "\n" + summary
+    # the text reads the "verification" block that main adds before it writes the document
+    return doc, lambda: pipeline.report_text(doc) + "\n" + (
+        "\n  ".join(("REPLICATION MISMATCH:", *doc["verification"]["failures"]))
+        if doc["verification"]["failures"] else "all replication checks passed")
 
 
 def cmd_simulate(args, table, head: str):
@@ -245,27 +273,15 @@ def cmd_svg(args, table, head: str):
     return doc, lambda: doc["svg"]
 
 
-def _resolve_named(name: str) -> StratifiedTable:
-    if name in datasets.EMBEDDED:
-        return datasets.get(name)
-    path = Path(name)
-    if path.exists():
-        return datasets.load_path(path)
-    raise CliInputError(f"{name!r} is neither an embedded dataset nor an existing file")
-
-
-def cmd_diff(args):
-    first = _resolve_named(args.first)
-    second = _resolve_named(args.second)
-    delta = diff(first, second)
-    doc = {"first": first.name, "second": second.name,
-           **vars(delta), "strata": [d._asdict() for d in delta.strata]}
+def cmd_diff(args, pair, head: str):
+    delta = diff(*pair)
+    doc = {**vars(delta), "strata": [d._asdict() for d in delta.strata]}
 
     def text():
         rows = [[s["stratum"], *(str(n) for row in s["cells"] for n in row), str(s["total"])]
                 for s in doc["strata"]]
         return (
-            f"diff: {doc['first'] or args.first} -> {doc['second'] or args.second}\n"
+            f"{head}\n"
             + text_table(["stratum", "da", "db", "dc", "dd", "dtotal"], rows)
             + f"\n\nsuspect incident delta {doc['suspect_incident_delta']}; "
             f"other incident delta {doc['other_incident_delta']}; "
@@ -297,10 +313,10 @@ def build_parser() -> argparse.ArgumentParser:
     output.add_argument("--format", choices=("text", "json", "csv"), default="text")
     output.add_argument("--out", help="write output to this file instead of stdout")
 
-    def command(name, func, help_text, *parents):
-        """Add subcommand ``name``: the options of ``parents``, then the output ones."""
+    def command(name, func, help_text, *parents, read=_read_source):
+        """Add subcommand ``name``, read by ``read``: ``parents``' options, then output's."""
         p = sub.add_parser(name, help=help_text, parents=[*parents, output])
-        p.set_defaults(func=func)
+        p.set_defaults(func=func, read=read)
         return p
 
     command("analyze", cmd_analyze, "correlations, odds ratios, and rates for one dataset", source)
@@ -320,7 +336,8 @@ def build_parser() -> argparse.ArgumentParser:
     command("simpson", cmd_simpson, "Simpson-paradox check across strata", source)
 
     p = command("replicate", cmd_replicate,
-                "run all analyses on the embedded datasets and verify reference values")
+                "run all analyses on the embedded datasets and verify reference values",
+                read=lambda args: ({}, "", datasets.EMBEDDED))
     p.add_argument("--nurses", type=int, default=datasets.DEFAULT_N_NURSES,
                    help="roster size of every dataset's post-hoc correction "
                    "(default %(default)s)")
@@ -337,7 +354,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = command("svg", cmd_svg, "determinant figure as a standalone SVG", source)
     p.add_argument("--stratum", help="draw this stratum instead of the pooled table")
 
-    p = command("diff", cmd_diff, "cell-wise difference between two datasets")
+    p = command("diff", cmd_diff, "cell-wise difference between two datasets", read=_read_operands)
     p.add_argument("first", help="embedded dataset name or file path")
     p.add_argument("second", help="embedded dataset name or file path")
 
@@ -347,33 +364,19 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        if "dataset" not in args:   # replicate and diff name their own inputs
-            doc, text = args.func(args)
-        else:
-            if bool(args.dataset) == bool(args.input):
-                raise CliInputError("exactly one of --dataset or --input is required")
-            ds = datasets.get(args.dataset) if args.dataset else datasets.load_path(args.input)
-            if args.transpose:
-                ds = ds.transpose()
-            first, head, source = {"dataset": ds.name}, f"dataset: {ds.name or '(unnamed)'}", ds
-            if "stratum" in args:   # binomial, simulate and svg read one table
-                label = pipeline.POOLED_LABEL if args.stratum is None else args.stratum
-                source = (collapse(ds) if label == pipeline.POOLED_LABEL
-                          else dict(ds.strata).get(label))
-                if source is None:
-                    raise CliInputError(
-                        f"stratum {label!r} not in dataset (has: {', '.join(ds.labels)})")
-                first["table"], head = label, f"{head} ({label})"
-            doc, text = args.func(args, source, head)
-            doc = {**first, **doc}
-        _emit(args, text, doc)
+        lead, head, tables = args.read(args)
+        doc, text = args.func(args, tables, head)
+        failures = []
+        if args.command == "replicate":   # through the module: a wrapper set there runs
+            failures = references.check_report_json(doc)
+            doc["verification"] = {"passed": not failures, "failures": failures}
+        _emit(args, text, {**lead, **doc})
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (ValueError, *_INPUT_ERRORS) as exc:
         print(f"error: {exc.args[0] if exc.args else exc}", file=sys.stderr)
         return 2 if isinstance(exc, _INPUT_ERRORS) else 3
-    failures = doc.get("verification", {}).get("failures")
     if failures:
         print(f"error: {len(failures)} replication check(s) failed", file=sys.stderr)
         return 4

@@ -43,11 +43,21 @@ def _as_label(value, where: str) -> str:
 
 
 def _as_label_pair(value, where: str) -> tuple[str, str]:
-    # a bare string is not a pair: "VO" would split into ("V", "O")
-    pair = () if isinstance(value, str) else tuple(_as_label(x, where) for x in value)
+    try:   # a bare string is not a pair: "VO" would split into ("V", "O")
+        pair = () if isinstance(value, str) else tuple(_as_label(x, where) for x in value)
+    except TypeError:   # nor is a value that is not iterable
+        pair = ()
     if len(pair) != 2:
         raise TableValidationError(f"{where}: expected exactly two labels, got {value!r}")
     return pair
+
+
+def _as_stratum(entry) -> tuple[str, Table2x2]:
+    try:
+        label, table = entry
+    except (TypeError, ValueError):
+        raise TableValidationError(f"stratum entry {entry!r}: not a (label, table) pair") from None
+    return _as_label(label, "stratum label"), table
 
 
 @dataclass(frozen=True)
@@ -96,17 +106,6 @@ class Table2x2:
                         row_labels=self.col_labels, col_labels=self.row_labels)
 
 
-class MarginSummary(NamedTuple):
-    row_sums: tuple[int, int]
-    col_sums: tuple[int, int]
-    total: int
-
-
-def margins(t: Table2x2) -> MarginSummary:
-    """Row sums, column sums, and grand total of a table."""
-    return MarginSummary((t.row1, t.row2), (t.col1, t.col2), t.total)
-
-
 @dataclass(frozen=True)
 class StratifiedTable:
     """An ordered, labeled list of 2x2 strata sharing row and column labels."""
@@ -115,7 +114,7 @@ class StratifiedTable:
     name: str = ""
 
     def __post_init__(self):
-        strata = tuple((_as_label(label, "stratum label"), table) for label, table in self.strata)
+        strata = tuple(_as_stratum(entry) for entry in self.strata)
         if not strata:
             raise TableValidationError("a stratified table needs at least one stratum")
         first = strata[0][1]

@@ -275,6 +275,16 @@ class TestBinomial:
         assert doc["table"] == "RKZ2"
         assert doc["draws"] == 58
 
+    def test_transpose_applies_before_stratum(self, capsys):
+        # JKZ transposed is [[8, 0], [134, 887]]: 8 incident shifts drawn at 134/1021
+        code, out, _ = run_cli(capsys, "binomial", "--dataset", "original", "--transpose",
+                               "--stratum", "JKZ", "--format", "json")
+        assert code == 0
+        doc = json.loads(out)
+        assert doc["table"] == "JKZ"
+        assert doc["draws"] == 8
+        assert doc["null_rate"]["fraction"] == "134/1021"
+
     def test_unknown_stratum(self, capsys):
         code, _, err = run_cli(capsys, "binomial", "--dataset", "original",
                                "--stratum", "XYZ")
@@ -605,6 +615,17 @@ class TestDiff:
         code, _, err = run_cli(capsys, "diff", "original", "missing-thing")
         assert code == 2
         assert "missing-thing" in err
+
+    def test_first_operand_error_is_reported_first(self, capsys, tmp_path):
+        # each operand is read, or refused, before the second is looked at
+        bad = tmp_path / "bad.csv"
+        bad.write_text("w,1,2\n")
+        code, out, err = run_cli(capsys, "diff", "nope1", str(bad))
+        assert (code, out) == (2, "")
+        assert err == "error: 'nope1' is neither an embedded dataset nor an existing file\n"
+        code, out, err = run_cli(capsys, "diff", str(bad), "nope2")
+        assert (code, out) == (2, "")
+        assert err.startswith(f"error: {bad}:1: ")
 
     def test_label_mismatch_exit_3(self, capsys, tmp_path):
         path = tmp_path / "other.csv"

@@ -85,6 +85,20 @@ def test_bare_string_is_not_a_label_pair(field):
     assert getattr(Table2x2(1, 2, 3, 4, **{field: ["V", "O"]}), field) == ("V", "O")
 
 
+def test_a_label_pair_is_iterable():
+    # iterating 5 raised a bare TypeError that named no field
+    with pytest.raises(TableValidationError,
+                       match="^row_labels: expected exactly two labels, got 5$"):
+        Table2x2(1, 2, 3, 4, row_labels=5)
+
+
+def test_a_stratum_entry_is_a_label_and_a_table():
+    # unpacking ("a",) raised a bare ValueError that named no entry
+    with pytest.raises(TableValidationError,
+                       match=r"^stratum entry \('a',\): not a \(label, table\) pair$"):
+        StratifiedTable((("a",),))
+
+
 TABLE = Table2x2(1, 2, 3, 4)
 
 
