@@ -25,10 +25,10 @@ REL_TOL = 1e-4
 class Check:
     """One reference value and where the report holds it.
 
-    ``path`` walks the report JSON: a string step reads that key, a dict step
-    picks the list row whose fields match it. A path that ends at a
-    ``"fraction"`` reads the exact value that text writes; text that writes
-    no rational is compared as it is, and fails.
+    ``path`` walks the report JSON: a string step reads that key, a dict step picks
+    the first list row that holds every key of the step with an equal value. A path
+    that ends at a ``"fraction"`` reads the exact value that text writes; text that
+    writes no rational is compared as it is, and fails.
     """
 
     key: str
@@ -40,8 +40,7 @@ class Check:
 def _get(doc, path):
     for step in path:
         if isinstance(step, dict):
-            doc = next((row for row in doc if all(row.get(k) == v for k, v in step.items())),
-                       None)
+            doc = next((row for row in doc if row.items() >= step.items()), None)
             if doc is None:
                 raise KeyError(f"no row matching {step}")
         else:
@@ -156,7 +155,7 @@ def check_report_json(doc: dict) -> list[str]:
     for check in REFERENCE_CHECKS:
         try:
             raw = _get(doc, check.path)
-        except (KeyError, TypeError) as exc:
+        except (KeyError, TypeError, AttributeError) as exc:   # or a row or list of the wrong type
             failures.append(f"{check.key}: missing from report ({exc})")
             continue
         got = raw

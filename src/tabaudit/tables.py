@@ -114,7 +114,12 @@ class StratifiedTable:
     name: str = ""
 
     def __post_init__(self):
-        strata = tuple(_as_stratum(entry) for entry in self.strata)
+        try:
+            entries = iter(self.strata)
+        except TypeError:
+            raise TableValidationError(
+                f"strata: expected (label, table) pairs, got {self.strata!r}") from None
+        strata = tuple(map(_as_stratum, entries))
         if not strata:
             raise TableValidationError("a stratified table needs at least one stratum")
         first = strata[0][1]

@@ -99,6 +99,13 @@ def test_a_stratum_entry_is_a_label_and_a_table():
         StratifiedTable((("a",),))
 
 
+def test_strata_are_an_iterable_of_entries():
+    # iterating 5 raised a bare TypeError that named no field
+    with pytest.raises(TableValidationError,
+                       match=r"^strata: expected \(label, table\) pairs, got 5$"):
+        StratifiedTable(5)
+
+
 TABLE = Table2x2(1, 2, 3, 4)
 
 

@@ -262,11 +262,28 @@ class TestReplicate:
                                     for c in references.REFERENCE_CHECKS)
 
     def test_missing_row_is_named(self):
-        doc = report_json(replicate(("original", "derksen")))
-        del doc["binomial"]["original"]["rows"][0]
-        assert [f for f in references.check_report_json(doc) if "no row" in f] == [
-            "original binomial tail >= 3: missing from report "
-            "(\"no row matching {'threshold': 3}\")"]
+        # a row matches only when it holds every key of the step with an equal value
+        for lose_row in (lambda rows: rows.pop(0),
+                         lambda rows: rows[0].pop("threshold"),
+                         lambda rows: rows[0].update(threshold="3")):
+            doc = report_json(replicate(("original", "derksen")))
+            lose_row(doc["binomial"]["original"]["rows"])
+            assert [f for f in references.check_report_json(doc) if "no row" in f] == [
+                "original binomial tail >= 3: missing from report "
+                "(\"no row matching {'threshold': 3}\")"]
+
+    def test_row_that_is_not_an_object_fails_each_check_on_its_list(self):
+        doc = report_json(replicate())
+        doc["binomial"]["original"]["rows"][0] = 5
+        doc["rates"]["strata"] = "x"
+        rows = [c.key for c in references.REFERENCE_CHECKS
+                if c.path[:3] == ("binomial", "original", "rows")]
+        strata = [c.key for c in references.REFERENCE_CHECKS if c.path[:2] == ("rates", "strata")]
+        assert (len(rows), len(strata)) == (13, 12)
+        assert references.check_report_json(doc) == (
+            [f"{key}: missing from report ('int' object has no attribute 'items')" for key in rows]
+            + [f"{key}: missing from report ('str' object has no attribute 'items')"
+               for key in strata])
 
     def test_value_of_the_wrong_type_is_a_failed_check(self):
         doc = report_json(replicate())
